@@ -148,7 +148,7 @@ func run(args []string, ready func(addr string)) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Handler: server.NewWithOptions(server.Options{Manager: mgr, Router: router, Pprof: *pprofOn})}
+	srv := newHTTPServer(server.NewWithOptions(server.Options{Manager: mgr, Router: router, Pprof: *pprofOn}))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }() // sanctioned: the accept loop of the server exemption
 
@@ -178,4 +178,19 @@ func run(args []string, ready func(addr string)) int {
 		fmt.Fprintf(os.Stderr, "fold3dd: cache %s\n", mgr.CacheStats())
 	}
 	return code
+}
+
+// Connection timeouts of the daemon's listener. There is deliberately no
+// read, write or whole-request timeout: event streams stay open for the
+// life of a job. ReadHeaderTimeout bounds a client that opens a
+// connection and never finishes its request headers; IdleTimeout reaps
+// keep-alive connections left idle between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -3,7 +3,6 @@ package jobs
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"fold3d/internal/errs"
 	"fold3d/internal/pipeline"
@@ -39,6 +38,9 @@ type BatchInfo struct {
 	Jobs []Info `json:"jobs"`
 }
 
+// withSeq places the event at position seq of its log.
+func (ev BatchEvent) withSeq(seq int) BatchEvent { ev.Seq = seq; return ev }
+
 // Batch is a group of jobs admitted atomically by SubmitBatch, with one
 // multiplexed event stream over every member. All methods are safe for
 // concurrent use.
@@ -46,11 +48,10 @@ type Batch struct {
 	id   string
 	jobs []*Job
 
-	mu        sync.Mutex
-	events    []BatchEvent
-	notify    chan struct{} // closed and replaced on every append
-	done      chan struct{} // closed once every member is terminal
-	remaining int           // members not yet terminal
+	// log.mu also guards remaining; the log turns terminal with the
+	// terminal event of the last member to finish.
+	log       eventLog[BatchEvent]
+	remaining int // members not yet terminal
 }
 
 // ID returns the manager-issued batch identifier.
@@ -60,37 +61,24 @@ func (b *Batch) ID() string { return b.id }
 func (b *Batch) Jobs() []*Job { return append([]*Job(nil), b.jobs...) }
 
 // Done returns a channel closed when every member job is terminal.
-func (b *Batch) Done() <-chan struct{} { return b.done }
+func (b *Batch) Done() <-chan struct{} { return b.log.done }
 
 // Info snapshots the batch and every member.
 func (b *Batch) Info() BatchInfo {
 	info := BatchInfo{ID: b.id, Jobs: make([]Info, len(b.jobs))}
-	terminal, anyStarted := true, false
-	var failed, canceled bool
+	count := map[State]int{}
 	for i, j := range b.jobs {
-		ji := j.Info()
-		info.Jobs[i] = ji
-		switch ji.State {
-		case StateQueued:
-			terminal = false
-		case StateRunning:
-			terminal, anyStarted = false, true
-		case StateFailed:
-			failed, anyStarted = true, true
-		case StateCanceled:
-			canceled, anyStarted = true, true
-		case StateDone:
-			anyStarted = true
-		}
+		info.Jobs[i] = j.Info()
+		count[info.Jobs[i].State]++
 	}
 	switch {
-	case !terminal && !anyStarted:
+	case count[StateQueued] == len(b.jobs):
 		info.State = StateQueued
-	case !terminal:
+	case count[StateQueued]+count[StateRunning] > 0:
 		info.State = StateRunning
-	case failed:
+	case count[StateFailed] > 0:
 		info.State = StateFailed
-	case canceled:
+	case count[StateCanceled] > 0:
 		info.State = StateCanceled
 	default:
 		info.State = StateDone
@@ -103,35 +91,18 @@ func (b *Batch) Info() BatchInfo {
 // arrive, and whether every member has reached a terminal state. The
 // contract mirrors Job.EventsSince.
 func (b *Batch) EventsSince(from int) (events []BatchEvent, more <-chan struct{}, terminal bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from < len(b.events) {
-		events = append(events, b.events[from:]...)
-	}
-	return events, b.notify, b.remaining == 0
+	return b.log.since(from)
 }
 
-// observe is the member jobs' onEvent hook: it multiplexes the event into
-// the batch stream (batch Seq assigned here) and tracks completion. It
-// runs outside the job's mutex; per-job event order is preserved because
-// each job's events are appended by one goroutine at a time.
-func (b *Batch) observe(j *Job, ev Event) {
-	b.mu.Lock()
-	b.events = append(b.events, BatchEvent{Seq: len(b.events), Job: j.id, Event: ev})
-	close(b.notify)
-	b.notify = make(chan struct{})
-	finished := ev.Kind == "state" && ev.State.Terminal()
-	if finished {
+// observe multiplexes a member job's just-recorded event into the batch
+// stream (batch Seq assigned by the log) and tracks completion.
+func (b *Batch) observe(job string, ev Event) {
+	b.log.mu.Lock()
+	defer b.log.mu.Unlock()
+	if ev.Kind == "state" && ev.State.Terminal() {
 		b.remaining--
 	}
-	last := finished && b.remaining == 0
-	b.mu.Unlock()
-	if last {
-		close(b.done)
-	}
+	b.log.appendLocked(BatchEvent{Job: job, Event: ev}, b.remaining == 0)
 }
 
 // BatchFingerprint is the routing fingerprint of a whole batch: the
@@ -157,61 +128,8 @@ func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("jobs: empty batch: %w", errs.ErrBadRequest)
 	}
-	norm := make([]Request, len(reqs))
-	perTenant := map[string]int{}
-	for i, r := range reqs {
-		norm[i] = r.normalized()
-		if err := norm[i].Validate(); err != nil {
-			return nil, fmt.Errorf("batch member %d: %w", i, err)
-		}
-		perTenant[norm[i].Tenant]++
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrShutdown
-	}
-	// All-or-nothing admission: every member must fit before any enqueues.
-	for tenant, n := range perTenant {
-		if err := m.admitLocked(tenant, n); err != nil {
-			return nil, err
-		}
-	}
-	if m.nQueued+len(norm) > m.depth {
-		return nil, fmt.Errorf("%w: %d jobs waiting", ErrQueueFull, m.nQueued)
-	}
-
-	m.batchSeq++
-	id := fmt.Sprintf("batch-%06d", m.batchSeq)
-	if m.nodeID != "" {
-		id = fmt.Sprintf("%s-%s", m.nodeID, id)
-	}
-	b := &Batch{
-		id:        id,
-		notify:    make(chan struct{}),
-		done:      make(chan struct{}),
-		remaining: len(norm),
-	}
-	for _, req := range norm {
-		j := &Job{
-			id:      m.jobID(),
-			req:     req,
-			onEvent: b.observe,
-			state:   StateQueued,
-			events:  []Event{{Seq: 0, Kind: "state", State: StateQueued}},
-			notify:  make(chan struct{}),
-			done:    make(chan struct{}),
-		}
-		b.jobs = append(b.jobs, j)
-		// The queued event predates enqueueing, so it lands in the batch
-		// stream before any worker event can: workers dequeue under m.mu,
-		// which SubmitBatch holds until every member is in.
-		b.observe(j, j.events[0])
-		m.enqueueLocked(j)
-	}
-	m.batches[b.id] = b
-	return b, nil
+	_, b, err := m.admit(reqs, true)
+	return b, err
 }
 
 // GetBatch returns the batch by ID, or ErrUnknownBatch.

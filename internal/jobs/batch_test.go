@@ -208,6 +208,43 @@ func TestBatchLifecycle(t *testing.T) {
 	if len(tail) != 1 || tail[0].Seq != len(events)-1 {
 		t.Fatalf("EventsSince(last) = %+v", tail)
 	}
+
+	// A job is a batch of one: SubmitBatch([r]) and Submit(r) give the same
+	// result fingerprint and the same sequence of event kinds and states,
+	// and the batch stream is the member's job stream tagged with its ID.
+	r := Request{Experiments: []string{"table4"}, Seed: 11}
+	one, err := m.SubmitBatch([]Request{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := mustSubmit(t, m, r)
+	oneInfo, singleInfo := waitBatch(t, one), wait(t, single)
+	if oneInfo.State != StateDone || singleInfo.State != StateDone {
+		t.Fatalf("batch of one ended %s, single job %s", oneInfo.State, singleInfo.State)
+	}
+	if oneInfo.Jobs[0].Result.Fingerprint != singleInfo.Result.Fingerprint {
+		t.Fatal("batch of one and single job produced different result fingerprints")
+	}
+	member := one.Jobs()[0]
+	memberEvents, _, _ := member.EventsSince(0)
+	singleEvents, _, _ := single.EventsSince(0)
+	if len(memberEvents) != len(singleEvents) {
+		t.Fatalf("batch member has %d events, single job %d", len(memberEvents), len(singleEvents))
+	}
+	for i := range memberEvents {
+		if memberEvents[i].Kind != singleEvents[i].Kind || memberEvents[i].State != singleEvents[i].State {
+			t.Fatalf("event %d: batch member %+v, single job %+v", i, memberEvents[i], singleEvents[i])
+		}
+	}
+	batchEvents, _, _ := one.EventsSince(0)
+	if len(batchEvents) != len(memberEvents) {
+		t.Fatalf("batch stream has %d events, member stream %d", len(batchEvents), len(memberEvents))
+	}
+	for i, ev := range batchEvents {
+		if want := (BatchEvent{Seq: i, Job: member.ID(), Event: memberEvents[i]}); ev != want {
+			t.Fatalf("batch event %d = %+v, want %+v", i, ev, want)
+		}
+	}
 }
 
 // TestBatchAllOrNothing pins atomic admission: a batch that would

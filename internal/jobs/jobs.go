@@ -286,24 +286,72 @@ type Info struct {
 	Result *Result `json:"result,omitempty"`
 }
 
+// eventLog is the append-only event stream behind both Job and Batch: the
+// dense events, a notify channel closed and replaced on every append, the
+// terminal flag and a done channel, all under one mutex. The append that
+// records the final event sets terminal in the same critical section, so a
+// reader told "terminal" always has the final event in its suffix: the
+// terminal event is the last line of every stream by construction.
+type eventLog[E interface{ withSeq(int) E }] struct {
+	mu       sync.Mutex
+	events   []E
+	notify   chan struct{} // closed and replaced on every append
+	done     chan struct{} // closed once, by the final append
+	terminal bool
+}
+
+// init allocates the channels of a new, empty log.
+func (l *eventLog[E]) init() {
+	l.notify = make(chan struct{})
+	l.done = make(chan struct{})
+}
+
+// appendLocked records ev at the next sequence number and wakes every
+// follower; last marks the log terminal and closes done. Callers hold l.mu.
+func (l *eventLog[E]) appendLocked(ev E, last bool) E {
+	ev = ev.withSeq(len(l.events))
+	l.events = append(l.events, ev)
+	close(l.notify)
+	l.notify = make(chan struct{})
+	if last {
+		l.terminal = true
+		close(l.done)
+	}
+	return ev
+}
+
+// since returns a copy of the events from sequence number from onward, a
+// channel closed when further events arrive, and whether the log is
+// terminal. When terminal is true the returned slice drains the log
+// through its final event and no further events will ever arrive.
+func (l *eventLog[E]) since(from int) (events []E, more <-chan struct{}, terminal bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < 0 {
+		from = 0
+	}
+	if from < len(l.events) {
+		events = append(events, l.events[from:]...)
+	}
+	return events, l.notify, l.terminal
+}
+
+// withSeq places the event at position seq of its log.
+func (ev Event) withSeq(seq int) Event { ev.Seq = seq; return ev }
+
 // Job is one queued or running experiment request. All methods are safe
 // for concurrent use.
 type Job struct {
-	id  string
-	req Request
-	// onEvent, when set (batch membership), receives every event after it
-	// is recorded, outside j.mu and in per-job order — a job's events are
-	// appended by one goroutine at a time (Submit before workers see the
-	// job, then its one scheduler worker).
-	onEvent func(*Job, Event)
+	id    string
+	req   Request
+	batch *Batch // the batch the job belongs to; nil for a single Submit
 
-	mu     sync.Mutex
+	// log.mu also guards the lifecycle fields below, so a state change and
+	// its event are one step: Info, Done and the stream never disagree.
+	log    eventLog[Event]
 	state  State
 	err    error
 	result *Result
-	events []Event
-	notify chan struct{} // closed and replaced on every append
-	done   chan struct{} // closed once, on reaching a terminal state
 }
 
 // ID returns the manager-issued job identifier.
@@ -313,20 +361,20 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) Request() Request { return j.req }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *Job) Done() <-chan struct{} { return j.log.done }
 
 // Err returns the terminal error of a failed or canceled job, nil before
 // termination and for done jobs.
 func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
 	return j.err
 }
 
 // Info snapshots the job for the status API.
 func (j *Job) Info() Info {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
 	info := Info{ID: j.id, State: j.state, Request: j.req, Result: j.result}
 	if j.err != nil {
 		info.Error = j.err.Error()
@@ -336,43 +384,33 @@ func (j *Job) Info() Info {
 
 // EventsSince returns a copy of the recorded events from sequence number
 // from onward, a channel closed when further events arrive, and whether
-// the job has reached a terminal state. When terminal is true and the
-// returned slice drains the stream, no further events will ever arrive.
+// the job has reached a terminal state. When terminal is true the returned
+// slice drains the stream through the terminal state event, and no
+// further events will ever arrive.
 func (j *Job) EventsSince(from int) (events []Event, more <-chan struct{}, terminal bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from < len(j.events) {
-		events = append(events, j.events[from:]...)
-	}
-	return events, j.notify, j.state.Terminal()
+	return j.log.since(from)
 }
 
-// append records an event (Seq assigned here) and wakes every stream
-// follower. Callers must not hold j.mu.
-func (j *Job) append(ev Event) {
-	j.mu.Lock()
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
-	j.mu.Unlock()
-	if j.onEvent != nil {
-		j.onEvent(j, ev)
+// record appends ev to the job's log (Seq assigned there). A state event
+// also moves the lifecycle fields, and a terminal one closes Done, in the
+// same critical section. The job's batch, if any, then sees the event
+// outside the job's lock and in per-job order: one goroutine at a time
+// records a job's events (admission, then its one scheduler worker).
+func (j *Job) record(ev Event, err error, result *Result) {
+	j.log.mu.Lock()
+	if ev.Kind == "state" {
+		j.state, j.err, j.result = ev.State, err, result
+	}
+	ev = j.log.appendLocked(ev, ev.State.Terminal())
+	j.log.mu.Unlock()
+	if j.batch != nil {
+		j.batch.observe(j.id, ev)
 	}
 }
 
-// setState transitions the lifecycle state and records the matching event;
-// terminal transitions attach the error/fingerprint and close Done.
+// setState transitions the lifecycle state and records the matching event,
+// carrying the error text or result fingerprint of a terminal state.
 func (j *Job) setState(s State, err error, result *Result) {
-	j.mu.Lock()
-	j.state = s
-	j.err = err
-	j.result = result
-	j.mu.Unlock()
-
 	ev := Event{Kind: "state", State: s}
 	if err != nil {
 		ev.Error = err.Error()
@@ -380,10 +418,7 @@ func (j *Job) setState(s State, err error, result *Result) {
 	if result != nil {
 		ev.Fingerprint = result.Fingerprint
 	}
-	j.append(ev)
-	if s.Terminal() {
-		close(j.done)
-	}
+	j.record(ev, err, result)
 }
 
 // Options configures a Manager.
@@ -480,34 +515,80 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// jobID mints the next job ID. Callers hold m.mu.
-func (m *Manager) jobID() string {
-	m.seq++
+// mintID formats the n-th ID of a kind ("job", "batch"), prefixed with the
+// node ID in a fleet.
+func (m *Manager) mintID(kind string, n int) string {
+	id := fmt.Sprintf("%s-%06d", kind, n)
 	if m.nodeID != "" {
-		return fmt.Sprintf("%s-job-%06d", m.nodeID, m.seq)
+		id = m.nodeID + "-" + id
 	}
-	return fmt.Sprintf("job-%06d", m.seq)
+	return id
 }
 
-// admitLocked checks admission limits for n more jobs from tenant.
-// Callers hold m.mu.
-func (m *Manager) admitLocked(tenant string, n int) error {
+// admit is the one admission path behind Submit and SubmitBatch: normalize
+// and validate every request, check the whole group against the tenant
+// quotas and the queue depth, then mint the IDs, build the jobs and
+// enqueue them — all or nothing, so a group is never half-admitted. A job
+// is a batch of one: Submit is admit over one request with grouped false,
+// which attaches no batch and mints no batch ID.
+func (m *Manager) admit(reqs []Request, grouped bool) ([]*Job, *Batch, error) {
+	norm := make([]Request, len(reqs))
+	for i, r := range reqs {
+		norm[i] = r.normalized()
+		if err := norm[i].Validate(); err != nil {
+			if grouped {
+				err = fmt.Errorf("batch member %d: %w", i, err)
+			}
+			return nil, nil, err
+		}
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		return ErrShutdown
+		return nil, nil, ErrShutdown
 	}
-	if m.quota > 0 && len(m.fifos[tenant])+n > m.quota {
-		return fmt.Errorf("%w: tenant %q has %d jobs queued (quota %d)",
-			ErrQuotaExceeded, tenant, len(m.fifos[tenant]), m.quota)
+	if m.quota > 0 {
+		added := map[string]int{}
+		for _, r := range norm {
+			added[r.Tenant]++
+			if queued := len(m.fifos[r.Tenant]); queued+added[r.Tenant] > m.quota {
+				return nil, nil, fmt.Errorf("%w: tenant %q has %d jobs queued (quota %d)",
+					ErrQuotaExceeded, r.Tenant, queued, m.quota)
+			}
+		}
 	}
-	if m.nQueued+n > m.depth {
-		return fmt.Errorf("%w: %d jobs waiting", ErrQueueFull, m.nQueued)
+	if m.nQueued+len(norm) > m.depth {
+		return nil, nil, fmt.Errorf("%w: %d jobs waiting", ErrQueueFull, m.nQueued)
 	}
-	return nil
+
+	var b *Batch
+	if grouped {
+		m.batchSeq++
+		b = &Batch{id: m.mintID("batch", m.batchSeq), remaining: len(norm)}
+		b.log.init()
+	}
+	js := make([]*Job, len(norm))
+	for i, req := range norm {
+		m.seq++
+		j := &Job{id: m.mintID("job", m.seq), req: req, batch: b}
+		j.log.init()
+		// The queued event predates enqueueing, so in a batch stream every
+		// member's queued event lands before any worker event: workers
+		// dequeue under m.mu, which admission holds until every job is in.
+		j.setState(StateQueued, nil, nil)
+		m.enqueueLocked(j)
+		js[i] = j
+	}
+	if b != nil {
+		b.jobs = js
+		m.batches[b.id] = b
+	}
+	return js, b, nil
 }
 
-// enqueueLocked registers and queues an already-validated job under its
-// tenant's FIFO and wakes a worker. Callers hold m.mu and have passed
-// admitLocked.
+// enqueueLocked registers and queues an admitted job under its tenant's
+// FIFO and wakes a worker. Callers hold m.mu.
 func (m *Manager) enqueueLocked(j *Job) {
 	tenant := j.req.Tenant
 	if _, known := m.fifos[tenant]; !known {
@@ -543,25 +624,11 @@ func (m *Manager) dequeueLocked() *Job {
 // errs.ErrBadRequest; a tenant at its quota gets ErrQuotaExceeded; a full
 // queue returns ErrQueueFull; after Close it returns ErrShutdown.
 func (m *Manager) Submit(req Request) (*Job, error) {
-	req = req.normalized()
-	if err := req.Validate(); err != nil {
+	js, _, err := m.admit([]Request{req}, false)
+	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.admitLocked(req.Tenant, 1); err != nil {
-		return nil, err
-	}
-	j := &Job{
-		id:     m.jobID(),
-		req:    req,
-		state:  StateQueued,
-		events: []Event{{Seq: 0, Kind: "state", State: StateQueued}},
-		notify: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	m.enqueueLocked(j)
-	return j, nil
+	return js[0], nil
 }
 
 // Get returns the job by ID, or ErrUnknownJob.
@@ -677,14 +744,14 @@ func (m *Manager) runJob(j *Job) {
 		now := time.Now()
 		m.observe(p.Stage, now.Sub(last))
 		last = now
-		j.append(Event{
+		j.record(Event{
 			Kind:       "progress",
 			Experiment: p.Experiment,
 			Stage:      p.Stage,
 			Block:      p.Block,
 			Done:       p.Done,
 			Total:      p.Total,
-		})
+		}, nil, nil)
 	}
 	results, err := exp.RunAll(m.ctx, cfg, j.req.Experiments, nil)
 

@@ -3,6 +3,9 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -156,6 +159,49 @@ func TestEventStreamOrdering(t *testing.T) {
 	tail, _, _ := j.EventsSince(len(events) - 2)
 	if len(tail) != 2 || tail[0].Seq != len(events)-2 {
 		t.Errorf("EventsSince suffix = %+v", tail)
+	}
+}
+
+// TestTerminalEventIsLast pins the stream invariant over many
+// concurrently finishing jobs: whenever EventsSince reports terminal, the
+// suffix it returned ends with the job's terminal state event, so a stream
+// that stops on terminal never drops its last line. Readers spin on every
+// job while it runs, so a gap between "state is terminal" and "terminal
+// event recorded" would be observed.
+func TestTerminalEventIsLast(t *testing.T) {
+	const n = 48
+	m := NewManager(Options{Workers: 4, QueueDepth: n})
+	js := make([]*Job, n)
+	for i := range js {
+		js[i] = mustSubmit(t, m, Request{Experiments: []string{"table4"}, Seed: uint64(i%3) + 1})
+	}
+	var wg sync.WaitGroup
+	bad := make(chan string, n)
+	for _, j := range js {
+		wg.Add(1)
+		go func(j *Job) {
+			defer wg.Done()
+			for {
+				events, _, terminal := j.EventsSince(0)
+				if !terminal {
+					runtime.Gosched()
+					continue
+				}
+				if last := events[len(events)-1]; last.Kind != "state" || !last.State.Terminal() {
+					bad <- fmt.Sprintf("job %s: terminal stream ends with %+v", j.ID(), last)
+				}
+				return
+			}
+		}(j)
+	}
+	// Let part of the burst finish done, then drain the rest as canceled,
+	// so terminal transitions land on every worker at once.
+	wait(t, js[n/2])
+	closeNow(t, m)
+	wg.Wait()
+	close(bad)
+	for msg := range bad {
+		t.Error(msg)
 	}
 }
 

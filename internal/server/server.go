@@ -7,7 +7,7 @@
 //	GET  /v1/jobs            list jobs in submission order → 200 + info array
 //	GET  /v1/jobs/{id}       job status and result         → 200 + job info
 //	GET  /v1/jobs/{id}/events  live NDJSON event stream    → 200 + one JSON
-//	                           object per line, streamed until terminal
+//	                           object per line, the terminal event last
 //	POST /v1/batches         enqueue many requests at once → 202 + batch info
 //	GET  /v1/batches/{id}    batch status                  → 200 + batch info
 //	GET  /v1/batches/{id}/events  multiplexed NDJSON of every member job
@@ -23,6 +23,13 @@
 // 503 shutdown (+ Retry-After), bad peer token → 401 unauthorized,
 // cluster.ErrPeerUnreachable → 502 peer_unreachable.
 //
+// A job is a batch of one. Jobs and batches share one submit path (read
+// the bounded body → decode strictly → forward to the routing owner →
+// admit) and one lookup path (resolve the ID → forward to the minting
+// node → answer the status or the NDJSON stream); only the wire shapes
+// differ. Every stream replays from ?from= and follows until the entity
+// is terminal, and its last line is then the terminal event.
+//
 // Fleet routing: POSTs are fingerprinted (jobs.Request.Fingerprint /
 // jobs.BatchFingerprint) and proxied to the consistent-hash owner node
 // unless this node owns the key or the request was already forwarded once
@@ -30,9 +37,9 @@
 // prefix proxy to the minting node. /v1/artifacts serves the node-local
 // cache to peers, gated by the fleet token.
 //
-// The package spawns no goroutines: streaming handlers block on the job's
-// notify channel and the request context, so the daemon's only long-lived
-// goroutines stay inside the jobs scheduler.
+// The package spawns no goroutines: streaming handlers block on the event
+// log's notify channel and the request context, so the daemon's only
+// long-lived goroutines stay inside the jobs scheduler.
 package server
 
 import (
@@ -87,13 +94,13 @@ func New(mgr *jobs.Manager) *Server {
 // NewWithOptions builds the server, fleet-aware when opts.Router is set.
 func NewWithOptions(opts Options) *Server {
 	s := &Server{mgr: opts.Manager, router: opts.Router, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	s.mux.HandleFunc("POST /v1/jobs", submit(s, jobs.Request.Fingerprint, s.submitJob))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("POST /v1/batches", s.handleSubmitBatch)
-	s.mux.HandleFunc("GET /v1/batches/{id}", s.handleBatchStatus)
-	s.mux.HandleFunc("GET /v1/batches/{id}/events", s.handleBatchEvents)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", lookup(s, s.mgr.Get, status))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/events", lookup(s, s.mgr.Get, events))
+	s.mux.HandleFunc("POST /v1/batches", submit(s, batchKey, s.submitBatch))
+	s.mux.HandleFunc("GET /v1/batches/{id}", lookup(s, s.mgr.GetBatch, status))
+	s.mux.HandleFunc("GET /v1/batches/{id}/events", lookup(s, s.mgr.GetBatch, events))
 	s.mux.HandleFunc("GET /v1/artifacts/{key}", s.handleArtifact)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -254,34 +261,6 @@ func (s *Server) authorizePeer(r *http.Request) error {
 	return nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.router != nil && s.router.Forwarded(r) {
-		if err := s.authorizePeer(r); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-	body, err := readBody(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req jobs.Request
-	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if s.forwardPost(w, r, req.Fingerprint(), body) {
-		return
-	}
-	j, err := s.mgr.Submit(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Info())
-}
-
 // BatchRequest is the body of POST /v1/batches: one submission carrying
 // many job configurations, admitted atomically.
 type BatchRequest struct {
@@ -289,62 +268,130 @@ type BatchRequest struct {
 	Jobs []jobs.Request `json:"jobs"`
 }
 
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	if s.router != nil && s.router.Forwarded(r) {
-		if err := s.authorizePeer(r); err != nil {
+// submitJob admits one job and returns its snapshot.
+func (s *Server) submitJob(req jobs.Request) (any, error) {
+	j, err := s.mgr.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Info(), nil
+}
+
+// submitBatch admits a batch and returns its snapshot.
+func (s *Server) submitBatch(req BatchRequest) (any, error) {
+	b, err := s.mgr.SubmitBatch(req.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	return b.Info(), nil
+}
+
+// batchKey routes a batch by its chained member fingerprints, so the whole
+// batch lands on one owner and shares its warm cache.
+func batchKey(req BatchRequest) string { return jobs.BatchFingerprint(req.Jobs) }
+
+// submit is the one POST path of jobs and batches: read the bounded body,
+// decode it strictly into R, forward it verbatim to the owner of key(R),
+// or admit it here and answer 202 with its snapshot.
+func submit[R any](s *Server, key func(R) string, admit func(R) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.router != nil && s.router.Forwarded(r) {
+			if err := s.authorizePeer(r); err != nil {
+				writeError(w, err)
+				return
+			}
+		}
+		body, err := readBody(r)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
+		var req R
+		if err := decodeStrict(body, &req); err != nil {
+			writeError(w, err)
+			return
+		}
+		if s.forwardPost(w, r, key(req), body) {
+			return
+		}
+		info, err := admit(req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, info)
 	}
-	body, err := readBody(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req BatchRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if s.forwardPost(w, r, jobs.BatchFingerprint(req.Jobs), body) {
-		return
-	}
-	b, err := s.mgr.SubmitBatch(req.Jobs)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, b.Info())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.mgr.Infos())
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, err := s.mgr.Get(id)
-	if err != nil {
-		if s.forwardGetByID(w, r, id) {
-			return
-		}
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Info())
+// entity is one v1 resource, a job or a batch: what the shared status and
+// event-stream handlers need of it.
+type entity[I, E any] interface {
+	Info() I
+	EventsSince(from int) ([]E, <-chan struct{}, bool)
 }
 
-func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	b, err := s.mgr.GetBatch(id)
-	if err != nil {
-		if s.forwardGetByID(w, r, id) {
+// lookup is the one GET path of jobs and batches: resolve {id} with get,
+// or forward the request to the fleet node that minted the ID, or answer
+// the not-found envelope; then serve the entity.
+func lookup[T any](s *Server, get func(id string) (T, error), serve func(w http.ResponseWriter, r *http.Request, e T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		e, err := get(id)
+		if err != nil {
+			if !s.forwardGetByID(w, r, id) {
+				writeError(w, err)
+			}
 			return
 		}
+		serve(w, r, e)
+	}
+}
+
+// status answers an entity's snapshot.
+func status[T entity[I, E], I, E any](w http.ResponseWriter, r *http.Request, e T) {
+	writeJSON(w, http.StatusOK, e.Info())
+}
+
+// events streams an entity's events as NDJSON: first a replay of
+// everything recorded so far (from ?from=N onward, default 0), then a live
+// follow until the entity is terminal or the client goes away. The last
+// line of a finished stream is always its terminal event. A batch stream
+// multiplexes every member's events, tagged with the job ID, under a
+// dense batch-wide sequence with the same resume contract.
+func events[T entity[I, E], I, E any](w http.ResponseWriter, r *http.Request, e T) {
+	from, err := parseFrom(r)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, b.Info())
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	for {
+		evs, more, terminal := e.EventsSince(from)
+		for _, ev := range evs {
+			if err := enc.Encode(ev); err != nil {
+				return // client gone
+			}
+		}
+		from += len(evs)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if terminal {
+			return
+		}
+		select {
+		case <-more:
+		case <-r.Context().Done():
+			return
+		}
+	}
 }
 
 // parseFrom reads the ?from= resume cursor (default 0).
@@ -358,93 +405,6 @@ func parseFrom(r *http.Request) (int, error) {
 		return 0, fmt.Errorf("server: %w: from=%q is not a non-negative integer", errs.ErrBadRequest, q)
 	}
 	return from, nil
-}
-
-// handleEvents streams the job's events as NDJSON: first a replay of
-// everything recorded so far (from ?from=N onward, default 0), then a live
-// follow until the job reaches a terminal state or the client goes away.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, err := s.mgr.Get(id)
-	if err != nil {
-		if s.forwardGetByID(w, r, id) {
-			return
-		}
-		writeError(w, err)
-		return
-	}
-	from, err := parseFrom(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	streamNDJSON(w, r, from, func(from int) (int, <-chan struct{}, bool, error) {
-		events, more, terminal := j.EventsSince(from)
-		return len(events), more, terminal, encodeAll(w, events)
-	})
-}
-
-// handleBatchEvents multiplexes every member job's events into one NDJSON
-// stream, tagged with the job ID, under a dense batch-wide sequence with
-// the same ?from= resume contract as per-job streams.
-func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	b, err := s.mgr.GetBatch(id)
-	if err != nil {
-		if s.forwardGetByID(w, r, id) {
-			return
-		}
-		writeError(w, err)
-		return
-	}
-	from, err := parseFrom(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	streamNDJSON(w, r, from, func(from int) (int, <-chan struct{}, bool, error) {
-		events, more, terminal := b.EventsSince(from)
-		return len(events), more, terminal, encodeAll(w, events)
-	})
-}
-
-// encodeAll writes one JSON line per event.
-func encodeAll[E any](w io.Writer, events []E) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err // client gone
-		}
-	}
-	return nil
-}
-
-// streamNDJSON is the shared replay-then-follow loop: fetch emits events
-// from the cursor and reports how many it wrote, the follow channel, and
-// terminality; the loop flushes and parks on the channel until the stream
-// ends or the client disconnects.
-func streamNDJSON(w http.ResponseWriter, r *http.Request, from int, fetch func(from int) (int, <-chan struct{}, bool, error)) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	for {
-		n, more, terminal, err := fetch(from)
-		if err != nil {
-			return // client gone
-		}
-		from += n
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-more:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // handleArtifact serves the raw wire entry of a cache key to fleet peers

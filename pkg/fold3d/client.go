@@ -202,56 +202,38 @@ var streamBackoff = []time.Duration{100 * time.Millisecond, 500 * time.Milliseco
 
 // StreamEvents follows a job's NDJSON event stream, calling fn for every
 // event from sequence number from onward, until the job reaches a
-// terminal state. Disconnects are survived transparently: the client
-// reconnects with ?from= set to the next unseen sequence number, so fn
-// sees every event exactly once, in order, across any number of drops. A
-// non-nil error from fn stops the stream and is returned.
+// terminal state; the last event fn sees is the terminal state event.
+// Disconnects are survived transparently: the client reconnects with
+// ?from= set to the next unseen sequence number, so fn sees every event
+// exactly once, in order, across any number of drops. A non-nil error
+// from fn stops the stream and is returned.
 func (c *Client) StreamEvents(ctx context.Context, id string, from int, fn func(JobEvent) error) error {
-	terminal := func(ctx context.Context) (bool, error) {
-		info, err := c.Job(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		return info.State.Terminal(), nil
-	}
-	return c.streamNDJSON(ctx, "/v1/jobs/"+id+"/events", from, terminal, func(line []byte, cursor int) (int, error) {
-		var ev JobEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return cursor, fmt.Errorf("fold3d: bad event line: %w", err)
-		}
-		if ev.Seq < cursor {
-			return cursor, nil // duplicate after a racy reconnect; drop
-		}
-		if err := fn(ev); err != nil {
-			return cursor, err
-		}
-		return ev.Seq + 1, nil
-	})
+	return c.streamNDJSON(ctx, "/v1/jobs/"+id, from, deliver(func(ev JobEvent) int { return ev.Seq }, fn))
 }
 
 // StreamBatchEvents follows a batch's multiplexed NDJSON stream with the
 // same exactly-once, resume-on-disconnect contract as StreamEvents.
 func (c *Client) StreamBatchEvents(ctx context.Context, id string, from int, fn func(BatchEvent) error) error {
-	terminal := func(ctx context.Context) (bool, error) {
-		info, err := c.Batch(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		return info.State.Terminal(), nil
-	}
-	return c.streamNDJSON(ctx, "/v1/batches/"+id+"/events", from, terminal, func(line []byte, cursor int) (int, error) {
-		var ev BatchEvent
+	return c.streamNDJSON(ctx, "/v1/batches/"+id, from, deliver(func(ev BatchEvent) int { return ev.Seq }, fn))
+}
+
+// deliver is the one decode-and-dedupe step of job and batch streams: it
+// decodes a line into E, drops an event already delivered before a racy
+// reconnect, hands the rest to fn, and returns the advanced cursor.
+func deliver[E any](seq func(E) int, fn func(E) error) func(line []byte, cursor int) (int, error) {
+	return func(line []byte, cursor int) (int, error) {
+		var ev E
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return cursor, fmt.Errorf("fold3d: bad batch event line: %w", err)
+			return cursor, fmt.Errorf("fold3d: bad event line: %w", err)
 		}
-		if ev.Seq < cursor {
+		if seq(ev) < cursor {
 			return cursor, nil
 		}
 		if err := fn(ev); err != nil {
 			return cursor, err
 		}
-		return ev.Seq + 1, nil
-	})
+		return seq(ev) + 1, nil
+	}
 }
 
 // stopError marks a consumer-requested stop (fn returned an error) so the
@@ -260,14 +242,16 @@ type stopError struct{ err error }
 
 func (s *stopError) Error() string { return "fold3d: stream consumer stopped: " + s.err.Error() }
 
-// streamNDJSON is the shared resume loop: connect at the cursor, feed
-// lines to deliver (which advances the cursor), and on a dropped
-// connection decide between "stream complete" (the entity is terminal)
-// and "reconnect from the cursor" with backoff.
-func (c *Client) streamNDJSON(ctx context.Context, path string, cursor int, terminal func(context.Context) (bool, error), deliver func(line []byte, cursor int) (int, error)) error {
+// streamNDJSON is the shared resume loop over the events of the job or
+// batch at path: connect at the cursor, feed lines to deliver (which
+// advances the cursor), and on a dropped connection decide between
+// "stream complete" (the entity is terminal) and "reconnect from the
+// cursor" with backoff. The daemon ends a stream cleanly only after its
+// terminal event, so a clean end at a terminal entity has delivered it.
+func (c *Client) streamNDJSON(ctx context.Context, path string, cursor int, deliver func(line []byte, cursor int) (int, error)) error {
 	attempt := 0
 	for {
-		advanced, err := c.streamOnce(ctx, path, &cursor, deliver)
+		advanced, err := c.streamOnce(ctx, path+"/events", &cursor, deliver)
 		if err != nil {
 			var stop *stopError
 			if errors.As(err, &stop) {
@@ -282,15 +266,16 @@ func (c *Client) streamNDJSON(ctx context.Context, path string, cursor int, term
 			}
 			// Transport-level drop: fall through to the resume decision.
 		}
-		done, terr := terminal(ctx)
-		if terr != nil {
-			return terr
+		var st struct {
+			State JobState `json:"state"`
 		}
-		if done && err == nil {
+		if serr := c.doJSON(ctx, http.MethodGet, path, nil, &st); serr != nil {
+			return serr
+		}
+		if st.State.Terminal() && err == nil {
 			return nil
 		}
-		// Mid-job disconnect (or the stream closed just before the final
-		// events landed): back off and resume from the cursor.
+		// Mid-stream disconnect: back off and resume from the cursor.
 		if advanced {
 			attempt = 0
 		} else if attempt < len(streamBackoff)-1 {

@@ -3,9 +3,11 @@ package fold3d
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,6 +219,54 @@ func TestClientStreamResume(t *testing.T) {
 	}
 	if !final.State.Terminal() {
 		t.Fatalf("stream returned before terminal state: %s", final.State)
+	}
+}
+
+// TestClientStreamEndsWithTerminalEvent follows every job of a burst
+// while the jobs finish concurrently: for each, fn must receive the whole
+// dense stream and its last event must be the terminal state event.
+func TestClientStreamEndsWithTerminalEvent(t *testing.T) {
+	const n = 24
+	c, _ := newClientFixture(t, JobManagerOptions{Workers: 4, QueueDepth: n}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	ids := make([]string, n)
+	for i := range ids {
+		info, err := c.Submit(ctx, JobRequest{Experiments: []string{"table4"}, Seed: uint64(i%3) + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, n)
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			var events []JobEvent
+			if err := c.StreamEvents(ctx, id, 0, func(ev JobEvent) error {
+				events = append(events, ev)
+				return nil
+			}); err != nil {
+				errc <- err
+				return
+			}
+			for i, ev := range events {
+				if ev.Seq != i {
+					errc <- fmt.Errorf("job %s: event %d has seq %d", id, i, ev.Seq)
+					return
+				}
+			}
+			if last := events[len(events)-1]; last.Kind != "state" || last.State != JobDone {
+				errc <- fmt.Errorf("job %s: stream ended with %+v, want the done event", id, last)
+			}
+		}(id)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }
 
