@@ -22,7 +22,6 @@ import (
 	"fold3d/internal/pipeline"
 	"fold3d/internal/place"
 	"fold3d/internal/t2"
-	"fold3d/internal/thermal"
 )
 
 func cfg() exp.Config { return exp.DefaultConfig() }
@@ -313,8 +312,7 @@ func BenchmarkAblationRSMT(b *testing.B) {
 
 // buildChipScales is the scale axis of the BuildChip benchmarks: the
 // denominators fed to t2.Generate, largest (coarsest netlist) first.
-// Smaller scale = more cells; scripts/bench.sh sweeps these into the
-// BENCH_PR8.json scale curve.
+// Smaller scale = more cells.
 var buildChipScales = []int{1000, 300, 100}
 
 // peakRSSkB reads the process peak resident set (VmHWM) from
@@ -389,102 +387,6 @@ func benchBuildChipCfg(b *testing.B, workers, scale int, mut func(*flow.Config))
 	}
 }
 
-// thermalSolveGrids is the grid-size axis of BenchmarkThermalSolve,
-// largest last: scripts/bench.sh gates the multigrid-vs-Gauss-Seidel
-// speedup on the largest entry.
-var thermalSolveGrids = []int{24, 48, 96, 192}
-
-// benchThermalProblem builds a deterministic two-die F2B-like synthetic
-// thermal problem: random per-tile power, a uniform adhesive-bond vertical
-// conductance, and TSV conductance spikes at pseudo-random tiles.
-func benchThermalProblem(n int) (pw [2][]float64, vertK []float64) {
-	const tileAreaM2 = 5e-8
-	state := uint64(12345)
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11) / float64(1<<53)
-	}
-	tiles := n * n
-	pw[0] = make([]float64, tiles)
-	pw[1] = make([]float64, tiles)
-	for i := 0; i < tiles; i++ {
-		w := 0.012 * next()
-		pw[0][i] = w * 0.6
-		pw[1][i] = w * 0.4
-	}
-	vertK = make([]float64, tiles)
-	for i := range vertK {
-		vertK[i] = 9000 * tileAreaM2
-	}
-	for s := 0; s < n; s++ {
-		i := int(next() * float64(tiles))
-		if i >= tiles {
-			i = tiles - 1
-		}
-		vertK[i] += 2.4e-5 * 30
-	}
-	return pw, vertK
-}
-
-// BenchmarkThermalSolve compares the multigrid engine (alg=mg) against the
-// dense Gauss-Seidel reference solver (alg=gs) on the same synthetic
-// two-die problem at the same 1e-4 tolerance, one sub-benchmark per grid
-// size:
-//
-//	go test -bench 'BenchmarkThermalSolve/grid=192'
-//
-// scripts/bench.sh records both rows into BENCH_PR10.json and gates the
-// mg-vs-gs speedup (>=10x at the largest grid).
-func BenchmarkThermalSolve(b *testing.B) {
-	const tileAreaM2 = 5e-8
-	p := thermal.DefaultParams()
-	for _, n := range thermalSolveGrids {
-		n := n
-		pw, vertK := benchThermalProblem(n)
-		b.Run(fmt.Sprintf("grid=%d/alg=mg", n), func(b *testing.B) {
-			eng := thermal.NewEngine()
-			var tmax float64
-			for i := 0; i < b.N; i++ {
-				if err := eng.ReinitGrid(n, n, 2, tileAreaM2, p); err != nil {
-					b.Fatal(err)
-				}
-				for iy := 0; iy < n; iy++ {
-					for ix := 0; ix < n; ix++ {
-						t := iy*n + ix
-						eng.AddPower(0, ix, iy, pw[0][t])
-						eng.AddPower(1, ix, iy, pw[1][t])
-					}
-				}
-				eng.SetUniformVertK(vertK[0])
-				for iy := 0; iy < n; iy++ {
-					for ix := 0; ix < n; ix++ {
-						if dk := vertK[iy*n+ix] - vertK[0]; dk != 0 {
-							eng.AddVertKAt(ix, iy, dk)
-						}
-					}
-				}
-				r, err := eng.Solve()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tmax = r.TMaxC
-			}
-			b.ReportMetric(tmax, "tmax_C")
-		})
-		b.Run(fmt.Sprintf("grid=%d/alg=gs", n), func(b *testing.B) {
-			var tmax float64
-			for i := 0; i < b.N; i++ {
-				// The reference oracle at the engine's tolerance; the root
-				// package is deliberately off lint's ThermalEngineOnly list
-				// so this baseline stays benchmarkable.
-				r := thermal.SolveReferenceTol(pw, n, n, 2, tileAreaM2, vertK, p, 1e-4, 4_000_000)
-				tmax = r.TMaxC
-			}
-			b.ReportMetric(tmax, "tmax_C")
-		})
-	}
-}
-
 // runAllNames is the BenchmarkRunAll experiment subset: together these
 // three generators implement chips in all five design styles (table2: 2D,
 // core/cache, core/core; table5: 2D, core/core, fold-F2F; fig8: all five),
@@ -542,8 +444,7 @@ func BenchmarkRunAllShared(b *testing.B) {
 //
 //	go test -bench 'BenchmarkBuildChip/placer'
 //
-// reports the force-vs-analytical cost side by side (scripts/bench.sh
-// records these rows into BENCH_PR9.json).
+// reports the force-vs-analytical cost side by side.
 func BenchmarkBuildChip(b *testing.B) {
 	for _, name := range place.BackendNames() {
 		name := name
@@ -551,8 +452,7 @@ func BenchmarkBuildChip(b *testing.B) {
 	}
 	// The thermal-planning overhead: the same tier-1 build with the
 	// multigrid solver and thermal-via insertion in the loop. Compare
-	// against placer=force (the thermal-off baseline) for the added cost
-	// (scripts/bench.sh gates the ratio into BENCH_PR10.json).
+	// against placer=force (the thermal-off baseline) for the added cost.
 	b.Run("thermal=on", func(b *testing.B) {
 		benchBuildChipCfg(b, 1, 1000, func(c *flow.Config) {
 			c.Thermal = flow.ThermalConfig{Enable: true}

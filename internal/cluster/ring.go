@@ -113,18 +113,12 @@ func keyHash(key string) uint64 {
 // Self returns this node's ID.
 func (r *Ring) Self() string { return r.self }
 
-// SelfNode returns this node's full entry.
-func (r *Ring) SelfNode() Node { return r.nodes[r.self] }
-
 // Owner returns the node that owns key: the first virtual point at or
 // clockwise after the key's hash. Deterministic, and stable under
 // peer-list reordering.
 func (r *Ring) Owner(key string) Node {
 	return r.nodes[r.points[r.search(key)].id]
 }
-
-// Owns reports whether this node owns key.
-func (r *Ring) Owns(key string) bool { return r.Owner(key).ID == r.self }
 
 // search returns the index of the first point at or after the key's hash,
 // wrapping to 0 past the last point.
@@ -152,19 +146,6 @@ func (r *Ring) Sequence(key string) []Node {
 		}
 	}
 	return seq
-}
-
-// Peers returns every node except self, sorted by ID for deterministic
-// iteration.
-func (r *Ring) Peers() []Node {
-	peers := make([]Node, 0, len(r.nodes)-1)
-	for id, n := range r.nodes {
-		if id != r.self {
-			peers = append(peers, n)
-		}
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
-	return peers
 }
 
 // NodeByID looks a node up by ID.

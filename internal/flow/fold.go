@@ -38,13 +38,13 @@ func (f *Flow) tsvPadAllowance(b *netlist.Block) float64 {
 		return 0
 	}
 	tsvOpt := place.DefaultTSVPlanOptions(f.D.Cfg.Scale)
-	cut := Fold3DNetCount(b)
+	cut := fold3DNetCount(b)
 	pad := tsvOpt.DrawnPitch()
 	return 1.6 * float64(cut) * pad * pad
 }
 
-// Fold3DNetCount counts die-crossing signal nets of a folded block.
-func Fold3DNetCount(b *netlist.Block) int {
+// fold3DNetCount counts die-crossing signal nets of a folded block.
+func fold3DNetCount(b *netlist.Block) int {
 	n := 0
 	for i := range b.Nets {
 		if b.Nets[i].Kind == netlist.Signal && b.NetIs3D(&b.Nets[i]) {

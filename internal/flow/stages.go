@@ -18,7 +18,7 @@ import (
 // implState carries one block implementation through its stage plan. Every
 // phase of the old monolithic ImplementBlock/finishBlock is a stage* method
 // here; the methods are registered into a pipeline.Plan and invoked only by
-// the pipeline executor (the fold3dlint PipelineOnly rule rejects direct
+// the pipeline executor (a fold3dlint ban row rejects direct
 // stage-to-stage calls), so the dependency structure of the flow is explicit
 // and the artifact cache can fingerprint exactly what each stage reads.
 type implState struct {

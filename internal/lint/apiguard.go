@@ -13,7 +13,9 @@ import (
 // navigated), and panic is reserved for functions on the allowlist —
 // Must-prefixed helpers and entries in Config.PanicAllow. Algorithm code
 // returns errors; a panic in the middle of a multi-hour sweep discards
-// every completed trial.
+// every completed trial. It also reports the apiguard rows of Config.Bans,
+// which keep each hot path on its sanctioned engine, registry, executor or
+// index.
 func APIGuardCheck() *Check {
 	return &Check{
 		Name: "apiguard",
@@ -23,34 +25,9 @@ func APIGuardCheck() *Check {
 }
 
 func runAPIGuard(cfg *Config, p *Package) []Finding {
-	var out []Finding
-	// The sta.Engine rule is scoped by Config.STAEngineOnly, not by the
-	// internal/pkg path gate below, so fixtures and future layouts work.
-	if matchesSuffix(p.Path, cfg.STAEngineOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkSTAEngine(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.ThermalEngineOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkThermalEngine(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.PipelineOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkPipelineOnly(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.IndexedScanOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkIndexedScan(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.BackendRegistryOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkBackendRegistry(p, file)...)
-		}
-	}
+	// The table rows carry their own scopes; only the doc and panic rules
+	// are gated to internal/ and pkg/.
+	out := runBans(cfg, p, "apiguard")
 	if !strings.Contains(p.Path, "internal/") && !strings.Contains(p.Path, "pkg/") {
 		return out
 	}
@@ -59,280 +36,6 @@ func runAPIGuard(cfg *Config, p *Package) []Finding {
 		out = append(out, checkPanics(cfg, p, file)...)
 	}
 	return out
-}
-
-// checkSTAEngine flags calls to the package-level sta.Analyze inside
-// packages restricted to the persistent engine. Engine methods (including
-// Engine.Analyze) are fine — the rule targets the one-shot wrapper, which
-// rebuilds the full timing graph on every call.
-func checkSTAEngine(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || fn.Name() != "Analyze" || fn.Pkg() == nil {
-			return true
-		}
-		if !strings.HasSuffix(fn.Pkg().Path(), "internal/sta") {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true // a method, e.g. (*Engine).Analyze — allowed
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: "one-shot sta.Analyze here rebuilds the timing graph from scratch; this package must reuse its persistent sta.Engine (MarkCellDirty/MarkNetDirty + Engine.Analyze)",
-		})
-		return true
-	})
-	return out
-}
-
-// checkThermalEngine flags calls to the package-level reference solvers
-// (thermal.SolveReference, thermal.SolveReferenceTol) inside packages
-// restricted to the persistent multigrid engine. Engine methods and
-// same-name local functions are fine — the rule targets the dense
-// Gauss-Seidel oracle, which exists to validate the engine in tests.
-func checkThermalEngine(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || !strings.HasPrefix(fn.Name(), "SolveReference") || fn.Pkg() == nil {
-			return true
-		}
-		if !strings.HasSuffix(fn.Pkg().Path(), "internal/thermal") {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true // a method — allowed
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: fmt.Sprintf("reference solver thermal.%s here runs the dense Gauss-Seidel oracle; this package must solve through the persistent multigrid thermal.Engine (LoadBlock/LoadChip + Solve/Resolve)", fn.Name()),
-		})
-		return true
-	})
-	return out
-}
-
-// checkBackendRegistry flags direct placement-backend construction — a call
-// to New in internal/place or any package under internal/place/ — inside
-// packages restricted to the registry (Config.BackendRegistryOnly). The one
-// sanctioned door is place.NewBackend, which validates the name and keeps
-// the placer-aware cache keys honest; a hard-wired constructor silently
-// pins one backend and escapes both.
-func checkBackendRegistry(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || fn.Name() != "New" || fn.Pkg() == nil {
-			return true
-		}
-		path := fn.Pkg().Path()
-		if !strings.HasSuffix(path, "internal/place") && !strings.Contains(path, "internal/place/") {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true // a method named New on some type — not a constructor
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: fmt.Sprintf("direct placement-backend construction %s.New: this package selects backends through the registry (place.NewBackend), which validates the name and keys the cache per backend", path),
-		})
-		return true
-	})
-	return out
-}
-
-// checkPipelineOnly flags direct calls to same-package stage entry points
-// (functions and methods named stage*) in packages restricted to the
-// pipeline executor. Referencing a stage as a method value — how stages are
-// registered into a pipeline.Plan — is fine; invoking one directly bypasses
-// the stage DAG, its cancellation checks, and the cache's fingerprinting of
-// stage inputs.
-func checkPipelineOnly(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != p.Path {
-			return true
-		}
-		if !isStageName(fn.Name()) {
-			return true
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: fmt.Sprintf("direct call to pipeline stage %s: stages run only through the pipeline executor (register into a pipeline.Plan)", fn.Name()),
-		})
-		return true
-	})
-	return out
-}
-
-// checkIndexedScan flags linear scans over a netlist.Block's Cells slice
-// that sit inside another loop, in packages restricted to spatial-index
-// queries (Config.IndexedScanOnly). A top-level flat pass — building the
-// row buckets, seeding positions, filling the SoA mirrors — is fine; the
-// same scan nested in a per-row/per-candidate loop is O(cells) per query
-// and turns legalization quadratic. Both `range b.Cells` and counted
-// loops bounded by `len(b.Cells)` are caught. Loops inside a nested func
-// literal restart at depth zero: a stored callback is not itself a
-// per-iteration scan, and the conservative reset avoids false positives
-// on sort comparators.
-func checkIndexedScan(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	flag := func(n ast.Node) {
-		out = append(out, Finding{
-			Check: "apiguard",
-			Pos:   p.Fset.Position(n.Pos()),
-			Message: "linear scan over Block.Cells inside a loop: legalization/blockage queries must go " +
-				"through the spatial index (row CSR buckets, lane SoA, TSV site grid), not rescan every cell",
-		})
-	}
-	var visit func(n ast.Node, depth int)
-	visit = func(n ast.Node, depth int) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == n {
-				return true
-			}
-			switch s := m.(type) {
-			case *ast.RangeStmt:
-				if depth > 0 && isCellsField(p, s.X) {
-					flag(s)
-				}
-				visit(s.Body, depth+1)
-				return false
-			case *ast.ForStmt:
-				if depth > 0 && s.Cond != nil && condScansCells(p, s.Cond) {
-					flag(s)
-				}
-				visit(s.Body, depth+1)
-				return false
-			case *ast.FuncLit:
-				visit(s.Body, 0)
-				return false
-			}
-			return true
-		})
-	}
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			visit(fd.Body, 0)
-		}
-	}
-	return out
-}
-
-// isCellsField reports whether e selects the Cells field of
-// internal/netlist's Block type (any import path ending there, so
-// fixtures under testdata work too).
-func isCellsField(p *Package, e ast.Expr) bool {
-	if pe, ok := e.(*ast.ParenExpr); ok {
-		return isCellsField(p, pe.X)
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Cells" {
-		return false
-	}
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return false
-	}
-	t := s.Recv()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Block" && named.Obj().Pkg() != nil &&
-		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/netlist")
-}
-
-// condScansCells reports whether a for-loop condition is bounded by
-// len(<Block>.Cells) — the counted-loop spelling of a full Cells scan.
-func condScansCells(p *Package, cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "len" {
-			return true
-		}
-		if _, builtin := p.Info.Uses[id].(*types.Builtin); !builtin {
-			return true
-		}
-		if isCellsField(p, call.Args[0]) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// isStageName reports whether name follows the stage entry-point naming
-// convention: "stage" followed by a capitalized phase name (stagePlace,
-// stageExtract). A bare "stage..." word like "stageless" is not a stage.
-func isStageName(name string) bool {
-	const prefix = "stage"
-	return strings.HasPrefix(name, prefix) && len(name) > len(prefix) &&
-		name[len(prefix)] >= 'A' && name[len(prefix)] <= 'Z'
 }
 
 // checkDocs flags exported top-level declarations without doc comments.

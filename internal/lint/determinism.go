@@ -1,10 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -24,29 +22,19 @@ func importedPath(p *Package, ident *ast.Ident) string {
 // the machine the experiment happens to run on.
 //
 // The goroutine rule is stricter: bare go statements are flagged in every
-// package outside Config.GoroutineAllow, not just algorithm packages.
+// package outside the go row's exceptions, not just algorithm packages.
 // Ad-hoc goroutines race on completion order; concurrency must route
 // through the worker pool, whose indexed result slots and sorted merge
-// keep parallel runs byte-identical to sequential ones.
+// keep parallel runs byte-identical to sequential ones. Every rule is a
+// determinism row of Config.Bans.
 func DeterminismCheck() *Check {
 	return &Check{
 		Name: "determinism",
 		Doc:  "forbid math/rand, time.Now, os.Getenv and unmanaged goroutines (use internal/rng, internal/pool)",
-		Run:  runDeterminism,
+		Run: func(cfg *Config, p *Package) []Finding {
+			return runBans(cfg, p, "determinism")
+		},
 	}
-}
-
-// forbiddenImports maps import paths to the reason they are banned.
-var forbiddenImports = map[string]string{
-	"math/rand":    "use the seeded fold3d/internal/rng generator instead",
-	"math/rand/v2": "use the seeded fold3d/internal/rng generator instead",
-}
-
-// forbiddenCalls maps package-qualified functions to the reason they are
-// banned. Keys are "importPath.Func".
-var forbiddenCalls = map[string]string{
-	"time.Now":  "wall-clock time makes runs irreproducible; thread timestamps in from the caller",
-	"os.Getenv": "environment lookups make results machine-dependent; pass configuration explicitly",
 }
 
 // isAlgoPackage reports whether path is one of the packages the determinism
@@ -55,84 +43,13 @@ func (cfg *Config) isAlgoPackage(path string) bool {
 	return matchesSuffix(path, cfg.AlgoPackages)
 }
 
-// allowsGoroutines reports whether path may contain bare go statements.
-func (cfg *Config) allowsGoroutines(path string) bool {
-	return matchesSuffix(path, cfg.GoroutineAllow)
-}
-
-// matchesSuffix reports whether path matches one of the import-path
+// matchesSuffix reports whether path ends in one of the import-path
 // suffixes.
 func matchesSuffix(path string, sufs []string) bool {
 	for _, suf := range sufs {
-		if path == suf || strings.HasSuffix(path, "/"+suf) || strings.HasSuffix(path, suf) {
+		if strings.HasSuffix(path, suf) {
 			return true
 		}
 	}
 	return false
-}
-
-func runDeterminism(cfg *Config, p *Package) []Finding {
-	algo := cfg.isAlgoPackage(p.Path)
-	goAllowed := cfg.allowsGoroutines(p.Path)
-	if !algo && goAllowed {
-		return nil
-	}
-	var out []Finding
-	for _, file := range p.Files {
-		// Imports of banned packages are findings regardless of use, but
-		// only inside algorithm packages.
-		for _, imp := range file.Imports {
-			if !algo {
-				break
-			}
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if why, ok := forbiddenImports[path]; ok {
-				out = append(out, Finding{
-					Check:   "determinism",
-					Pos:     p.Fset.Position(imp.Pos()),
-					Message: fmt.Sprintf("import of %s in algorithm package: %s", path, why),
-				})
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok && !goAllowed {
-				out = append(out, Finding{
-					Check:   "determinism",
-					Pos:     p.Fset.Position(g.Pos()),
-					Message: "bare go statement: route concurrency through fold3d/internal/pool so worker count, merge order and error selection stay deterministic",
-				})
-				return true
-			}
-			if !algo {
-				return true
-			}
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			// Resolve the qualifier to a package name to survive import
-			// renaming and to skip same-named local variables.
-			pkgPath := importedPath(p, ident)
-			if pkgPath == "" {
-				return true
-			}
-			key := pkgPath + "." + sel.Sel.Name
-			if why, ok := forbiddenCalls[key]; ok {
-				out = append(out, Finding{
-					Check:   "determinism",
-					Pos:     p.Fset.Position(sel.Pos()),
-					Message: fmt.Sprintf("%s in algorithm package: %s", key, why),
-				})
-			}
-			return true
-		})
-	}
-	return out
 }

@@ -59,95 +59,47 @@ type Check struct {
 // Config tunes check scoping. The zero value runs nothing useful; use
 // DefaultConfig for the repository policy.
 type Config struct {
-	// AlgoPackages lists import-path suffixes of algorithm packages in
-	// which the determinism check forbids ambient randomness and
-	// environment access.
+	// AlgoPackages lists import-path suffixes of algorithm packages, where
+	// nondetflow treats every exported function's returns as result sinks.
+	// DefaultConfig scopes the determinism import and call bans to the
+	// same list.
 	AlgoPackages []string
 	// PanicAllow lists function names (rendered as pkgpath.Func or
 	// pkgpath.(*Type).Method) that may call panic. Functions whose name
 	// starts with "Must" are always allowed, per Go convention.
 	PanicAllow []string
-	// GoroutineAllow lists import-path suffixes of the packages permitted
-	// to start goroutines. Everywhere else a bare go statement is a
-	// determinism finding: ad-hoc concurrency bypasses the worker pool's
-	// deterministic merge and error selection.
-	GoroutineAllow []string
-	// STAEngineOnly lists import-path suffixes of packages that must run
-	// timing through a persistent sta.Engine: a bare sta.Analyze call there
-	// rebuilds the whole timing graph from scratch, silently discarding the
-	// cone-limited incremental path the optimizer loop depends on.
-	STAEngineOnly []string
 	// CtxPackages lists import-path suffixes of the service-layer packages
 	// in which the ctxflow check requires every blocking operation to be
 	// guarded by a received context.Context on all CFG paths. These are the
 	// packages sitting between a caller's cancellation and the
 	// deterministic core: a dropped ctx there turns shutdown into a hang.
 	CtxPackages []string
-	// PipelineOnly lists import-path suffixes of packages whose stage*
-	// functions are pipeline stage entry points: they may only be
-	// registered into a pipeline.Plan and invoked by the pipeline
-	// executor, never called directly by other code in the package. A
-	// direct call bypasses the stage DAG — it skips the cancellation
-	// checks, invalidates the plan's input fingerprinting, and lets stages
-	// grow hidden dependencies the artifact cache cannot see.
-	PipelineOnly []string
-	// BackendRegistryOnly lists import-path suffixes of packages that must
-	// obtain placement backends through the registry (place.NewBackend)
-	// rather than constructing one directly with place.New or a concrete
-	// backend package's New. A direct construction hard-wires one backend
-	// into the flow, bypasses the unknown-name validation, and silently
-	// escapes the cache-key discipline that keeps backends' artifacts
-	// isolated.
-	BackendRegistryOnly []string
-	// IndexedScanOnly lists import-path suffixes of packages whose
-	// legalization and blockage code must answer per-candidate queries
-	// through a spatial index. There, a linear scan over a block's Cells
-	// nested inside another loop is O(cells) per query — quadratic over
-	// the block — and is exactly the pattern the scaling pass replaced
-	// with the row-CSR buckets, the lane SoA mirrors and the TSV site
-	// grid. Single flat passes (index builds, seeding, accumulations)
-	// stay allowed: only a Cells scan inside an enclosing loop is
-	// flagged.
-	IndexedScanOnly []string
-	// ThermalEngineOnly lists import-path suffixes of packages that must
-	// solve temperature through the persistent multigrid thermal.Engine: a
-	// bare thermal.SolveReference* call there runs the dense Gauss-Seidel
-	// reference solver — the tolerance oracle the engine is tested against,
-	// orders of magnitude slower at scale and blind to the incremental
-	// re-solve the thermal-via loop depends on.
-	ThermalEngineOnly []string
+	// Bans is the policy table: every "construct X is banned in packages Y
+	// except Z" rule of the determinism and apiguard checks, one row each.
+	Bans []Ban
 }
 
 // DefaultConfig returns the scoping policy enforced on the fold3d tree.
 func DefaultConfig() *Config {
+	algo := []string{
+		"internal/core",
+		"internal/floorplan",
+		"internal/partition",
+		"internal/place",
+		"internal/place/analytical",
+		"internal/route",
+		"internal/power",
+		"internal/sta",
+		"internal/thermal",
+		"internal/exp",
+		"internal/flow",
+	}
+	const useRNG = "import of {name} in algorithm package: use the seeded fold3d/internal/rng generator instead"
 	return &Config{
-		AlgoPackages: []string{
-			"internal/core",
-			"internal/floorplan",
-			"internal/partition",
-			"internal/place",
-			"internal/place/analytical",
-			"internal/route",
-			"internal/power",
-			"internal/sta",
-			"internal/thermal",
-			"internal/exp",
-			"internal/flow",
-		},
+		AlgoPackages: algo,
 		PanicAllow: []string{
 			// rng.Intn mirrors math/rand's documented contract.
 			"fold3d/internal/rng.(*R).Intn",
-		},
-		GoroutineAllow: []string{
-			// The worker pool is the one sanctioned goroutine spawner; its
-			// per-index result slots keep parallel runs byte-identical.
-			"internal/pool",
-			// The server exemption (DESIGN.md §12): the fold3dd job
-			// scheduler and the daemon's accept loop are long-lived service
-			// goroutines above the determinism boundary — results flow only
-			// through exp.RunAll, which stays on the pool.
-			"internal/jobs",
-			"cmd/fold3dd",
 		},
 		CtxPackages: []string{
 			// The job manager, HTTP daemon, worker pool and public facade
@@ -158,40 +110,44 @@ func DefaultConfig() *Config {
 			"internal/pool",
 			"pkg/fold3d",
 		},
-		STAEngineOnly: []string{
+		Bans: []Ban{
+			// Algorithm packages draw randomness from internal/rng and take
+			// time and configuration from their caller, so a (design, seed)
+			// pair maps to exactly one result.
+			{Kind: BanImport, Pkg: "math/rand", In: algo, Check: "determinism", Message: useRNG},
+			{Kind: BanImport, Pkg: "math/rand/v2", In: algo, Check: "determinism", Message: useRNG},
+			{Kind: BanFunc, Pkg: "time", Name: "Now", In: algo, Check: "determinism",
+				Message: "{name} in algorithm package: wall-clock time makes runs irreproducible; thread timestamps in from the caller"},
+			{Kind: BanFunc, Pkg: "os", Name: "Getenv", In: algo, Check: "determinism",
+				Message: "{name} in algorithm package: environment lookups make results machine-dependent; pass configuration explicitly"},
+			// Concurrency routes through the worker pool, whose per-index
+			// result slots keep parallel runs byte-identical. The server
+			// exemption (DESIGN.md §12): the fold3dd job scheduler and the
+			// daemon's accept loop are long-lived service goroutines above
+			// the determinism boundary — results flow only through
+			// exp.RunAll, which stays on the pool.
+			{Kind: BanGo, Except: []string{"internal/pool", "internal/jobs", "cmd/fold3dd"}, Check: "determinism",
+				Message: "bare go statement: route concurrency through fold3d/internal/pool so worker count, merge order and error selection stay deterministic"},
 			// The optimizer's analyze loop is the hot consumer of timing;
 			// it owns an Engine and must mark-and-update, never full-build.
-			"internal/opt",
-		},
-		PipelineOnly: []string{
+			{Kind: BanFunc, Pkg: "internal/sta", Name: "Analyze", In: []string{"internal/opt"}, Check: "apiguard",
+				Message: "one-shot sta.Analyze here rebuilds the timing graph from scratch; this package must reuse its persistent sta.Engine (MarkCellDirty/MarkNetDirty + Engine.Analyze)"},
 			// The flow's phases are registered pipeline stages; only the
 			// pipeline executor may invoke them, so the stage DAG and the
 			// artifact-cache fingerprints stay honest.
-			"internal/flow",
-		},
-		BackendRegistryOnly: []string{
+			{Kind: BanStageCall, In: []string{"internal/flow"}, Check: "apiguard",
+				Message: "direct call to pipeline stage {name}: stages run only through the pipeline executor (register into a pipeline.Plan)"},
 			// The flow selects placement backends by Config.Placer; wiring a
 			// concrete placer here would bypass the registry's validation
 			// and the placer-aware cache keys.
-			"internal/flow",
-		},
-		IndexedScanOnly: []string{
+			{Kind: BanFunc, Pkg: "internal/place/...", Name: "New", In: []string{"internal/flow"}, Check: "apiguard",
+				Message: "direct placement-backend construction {name}: this package selects backends through the registry (place.NewBackend), which validates the name and keys the cache per backend"},
 			// The placer's legalization, spreading and TSV planning are
 			// the scaling-pass hot paths: per-query work there must go
 			// through the spatial index, never a nested Cells scan.
-			"internal/place",
-		},
-		ThermalEngineOnly: []string{
-			// Every in-loop and serving consumer of temperature runs the
-			// multigrid engine; the Gauss-Seidel reference solver is for the
-			// thermal package's own equivalence tests only.
-			"internal/flow",
-			"internal/exp",
-			"internal/jobs",
-			"internal/server",
-			"pkg/fold3d",
-			"cmd/fold3d",
-			"cmd/fold3dd",
+			{Kind: BanNestedCellsScan, In: []string{"internal/place"}, Check: "apiguard",
+				Message: "linear scan over Block.Cells inside a loop: legalization/blockage queries must go " +
+					"through the spatial index (row CSR buckets, lane SoA, TSV site grid), not rescan every cell"},
 		},
 	}
 }

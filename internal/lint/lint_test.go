@@ -87,12 +87,103 @@ func checkFixture(t *testing.T, cfg *Config, p *Package, checks []*Check) {
 	}
 }
 
-func TestDeterminismFixture(t *testing.T) {
-	_, p := loadFixture(t, "determinism", "fixture/determinism")
-	cfg := DefaultConfig()
-	cfg.AlgoPackages = append(cfg.AlgoPackages, "fixture/determinism")
-	checkFixture(t, cfg, p, []*Check{DeterminismCheck()})
+// banCases maps each fixture directory under testdata/src to the rows of
+// the ban table it exercises. Every row must be exercised by some fixture
+// (TestBanRowsHaveFixtures).
+var banCases = map[string]func(b *Ban) bool{
+	"determinism":     func(b *Ban) bool { return b.Check == "determinism" },
+	"serverexempt":    func(b *Ban) bool { return b.Kind == BanGo },
+	"staengine":       func(b *Ban) bool { return b.Kind == BanFunc && b.Pkg == "internal/sta" },
+	"pipeline":        func(b *Ban) bool { return b.Kind == BanStageCall },
+	"indexedscan":     func(b *Ban) bool { return b.Kind == BanNestedCellsScan },
+	"backendregistry": func(b *Ban) bool { return b.Kind == BanFunc && b.Pkg == "internal/place/..." },
 }
+
+// banRows returns the rows of cfg the fixture exercises and the check
+// they report under.
+func banRows(t *testing.T, cfg *Config, fixture string) ([]*Ban, []*Check) {
+	t.Helper()
+	var rows []*Ban
+	for i := range cfg.Bans {
+		if banCases[fixture](&cfg.Bans[i]) {
+			rows = append(rows, &cfg.Bans[i])
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("fixture %q exercises no ban row", fixture)
+	}
+	return rows, []*Check{CheckByName(rows[0].Check)}
+}
+
+// banInScope loads the fixture as fixture/<dir>, adds that path to the
+// scope of its scoped rows, and requires exactly the want annotations.
+func banInScope(t *testing.T, fixture string) {
+	path := "fixture/" + fixture
+	_, p := loadFixture(t, fixture, path)
+	cfg := DefaultConfig()
+	rows, checks := banRows(t, cfg, fixture)
+	for _, b := range rows {
+		if len(b.In) > 0 {
+			b.In = append(b.In[:len(b.In):len(b.In)], path)
+		}
+	}
+	checkFixture(t, cfg, p, checks)
+}
+
+// banOutOfScope loads the fixture under a path outside every scope of its
+// rows (and outside internal/, so the doc and panic rules stay off too):
+// the same source must be clean.
+func banOutOfScope(t *testing.T, fixture string) {
+	cfg := DefaultConfig()
+	rows, checks := banRows(t, cfg, fixture)
+	for _, b := range rows {
+		if len(b.In) == 0 {
+			t.Fatalf("%s: a row scoped everywhere has no out-of-scope package", fixture)
+		}
+	}
+	_, p := loadFixture(t, fixture, "fixture/"+fixture+"-off")
+	if fs := Run(cfg, []*Package{p}, checks); len(fs) != 0 {
+		t.Errorf("unrestricted package flagged: %v", fs)
+	}
+}
+
+// banExcepted loads the fixture under every exception of its rows: each
+// sanctioned package must be clean.
+func banExcepted(t *testing.T, fixture string) {
+	cfg := DefaultConfig()
+	rows, checks := banRows(t, cfg, fixture)
+	n := 0
+	for _, b := range rows {
+		for _, e := range b.Except {
+			n++
+			_, p := loadFixture(t, fixture, "fold3d/"+e)
+			if fs := Run(cfg, []*Package{p}, checks); len(fs) != 0 {
+				t.Errorf("%s: exception not honored: %v", e, fs)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: no row has an exception", fixture)
+	}
+}
+
+// TestBanRowsHaveFixtures requires every row of the default ban table to
+// be exercised by a fixture case.
+func TestBanRowsHaveFixtures(t *testing.T) {
+	cfg := DefaultConfig()
+	for i := range cfg.Bans {
+		b := &cfg.Bans[i]
+		covered := false
+		for _, exercises := range banCases {
+			covered = covered || exercises(b)
+		}
+		if !covered {
+			t.Errorf("ban row %+v has no fixture in banCases", *b)
+		}
+	}
+}
+
+func TestDeterminismFixture(t *testing.T) { banInScope(t, "determinism") }
 
 func TestDeterminismSkipsNonAlgoPackages(t *testing.T) {
 	// Outside algorithm packages the import/call rules are off, but the
@@ -104,32 +195,23 @@ func TestDeterminismSkipsNonAlgoPackages(t *testing.T) {
 	}
 }
 
-func TestDeterminismGoroutineAllow(t *testing.T) {
-	_, p := loadFixture(t, "determinism", "fixture/other")
-	cfg := DefaultConfig()
-	cfg.GoroutineAllow = append(cfg.GoroutineAllow, "fixture/other")
-	fs := Run(cfg, []*Package{p}, []*Check{DeterminismCheck()})
-	if len(fs) != 0 {
-		t.Errorf("sanctioned package still flagged: %v", fs)
-	}
-}
+func TestDeterminismGoroutineAllow(t *testing.T) { banExcepted(t, "determinism") }
 
-func TestServerExemptFlaggedElsewhere(t *testing.T) {
-	// The scheduler/accept-loop goroutine shapes of the fold3dd daemon are
-	// ordinary findings in a package that is not on the allow list.
-	_, p := loadFixture(t, "serverexempt", "fixture/serverexempt")
-	checkFixture(t, DefaultConfig(), p, []*Check{DeterminismCheck()})
-}
+// The scheduler/accept-loop goroutine shapes of the fold3dd daemon are
+// ordinary findings in a package off the go row's exceptions, and clean
+// under the packages the repo policy exempts.
+func TestServerExemptFlaggedElsewhere(t *testing.T)   { banInScope(t, "serverexempt") }
+func TestServerExemptSanctionedPackages(t *testing.T) { banExcepted(t, "serverexempt") }
 
-func TestServerExemptSanctionedPackages(t *testing.T) {
-	// The same source is clean under the import paths the repo policy
-	// exempts: the jobs scheduler and the daemon binary.
-	for _, path := range []string{"fold3d/internal/jobs", "fold3d/cmd/fold3dd"} {
-		_, p := loadFixture(t, "serverexempt", path)
-		if fs := Run(DefaultConfig(), []*Package{p}, []*Check{DeterminismCheck()}); len(fs) != 0 {
-			t.Errorf("%s: server exemption not honored: %v", path, fs)
-		}
-	}
+func TestSTAEngineFixture(t *testing.T)                  { banInScope(t, "staengine") }
+func TestSTAEngineOffByDefaultElsewhere(t *testing.T)    { banOutOfScope(t, "staengine") }
+func TestPipelineOnlyFixture(t *testing.T)               { banInScope(t, "pipeline") }
+func TestPipelineOnlyOffByDefaultElsewhere(t *testing.T) { banOutOfScope(t, "pipeline") }
+func TestIndexedScanFixture(t *testing.T)                { banInScope(t, "indexedscan") }
+func TestIndexedScanOffByDefaultElsewhere(t *testing.T)  { banOutOfScope(t, "indexedscan") }
+func TestBackendRegistryFixture(t *testing.T)            { banInScope(t, "backendregistry") }
+func TestBackendRegistryOffByDefaultElsewhere(t *testing.T) {
+	banOutOfScope(t, "backendregistry")
 }
 
 func TestMapIterFixture(t *testing.T) {
@@ -145,96 +227,6 @@ func TestFloatCmpFixture(t *testing.T) {
 func TestErrDropFixture(t *testing.T) {
 	_, p := loadFixture(t, "errdrop", "fixture/errdrop")
 	checkFixture(t, DefaultConfig(), p, []*Check{ErrDropCheck()})
-}
-
-func TestSTAEngineFixture(t *testing.T) {
-	_, p := loadFixture(t, "staengine", "fixture/staengine")
-	cfg := DefaultConfig()
-	cfg.STAEngineOnly = append(cfg.STAEngineOnly, "fixture/staengine")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
-}
-
-func TestSTAEngineOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the STAEngineOnly list the same source is
-	// clean (the fixture path is outside internal/, so the doc/panic rules
-	// stay off too).
-	_, p := loadFixture(t, "staengine", "fixture/staengine-off")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
-	if len(fs) != 0 {
-		t.Errorf("unrestricted package flagged: %v", fs)
-	}
-}
-
-func TestThermalEngineFixture(t *testing.T) {
-	_, p := loadFixture(t, "thermalengine", "fixture/thermalengine")
-	cfg := DefaultConfig()
-	cfg.ThermalEngineOnly = append(cfg.ThermalEngineOnly, "fixture/thermalengine")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
-}
-
-func TestThermalEngineOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the ThermalEngineOnly list the same source is
-	// clean: the reference solver stays legal for unrestricted callers
-	// (the thermal package's own equivalence tests).
-	_, p := loadFixture(t, "thermalengine", "fixture/thermalengine-off")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
-	if len(fs) != 0 {
-		t.Errorf("unrestricted package flagged: %v", fs)
-	}
-}
-
-func TestPipelineOnlyFixture(t *testing.T) {
-	_, p := loadFixture(t, "pipeline", "fixture/pipeline")
-	cfg := DefaultConfig()
-	cfg.PipelineOnly = append(cfg.PipelineOnly, "fixture/pipeline")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
-}
-
-func TestPipelineOnlyOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the PipelineOnly list the same source is clean
-	// (the fixture path is outside internal/, so the doc/panic rules stay
-	// off too).
-	_, p := loadFixture(t, "pipeline", "fixture/pipeline-off")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
-	if len(fs) != 0 {
-		t.Errorf("unrestricted package flagged: %v", fs)
-	}
-}
-
-func TestIndexedScanFixture(t *testing.T) {
-	_, p := loadFixture(t, "indexedscan", "fixture/indexedscan")
-	cfg := DefaultConfig()
-	cfg.IndexedScanOnly = append(cfg.IndexedScanOnly, "fixture/indexedscan")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
-}
-
-func TestIndexedScanOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the IndexedScanOnly list the same source is
-	// clean (the fixture path is outside internal/, so the doc/panic rules
-	// stay off too).
-	_, p := loadFixture(t, "indexedscan", "fixture/indexedscan-off")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
-	if len(fs) != 0 {
-		t.Errorf("unrestricted package flagged: %v", fs)
-	}
-}
-
-func TestBackendRegistryFixture(t *testing.T) {
-	_, p := loadFixture(t, "backendregistry", "fixture/backendregistry")
-	cfg := DefaultConfig()
-	cfg.BackendRegistryOnly = append(cfg.BackendRegistryOnly, "fixture/backendregistry")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
-}
-
-func TestBackendRegistryOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the BackendRegistryOnly list the same source
-	// is clean (the fixture path is outside internal/, so the doc/panic
-	// rules stay off too).
-	_, p := loadFixture(t, "backendregistry", "fixture/backendregistry-off")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
-	if len(fs) != 0 {
-		t.Errorf("unrestricted package flagged: %v", fs)
-	}
 }
 
 func TestAPIGuardFixture(t *testing.T) {

@@ -196,8 +196,8 @@ type DiskTier struct {
 	dir string
 }
 
-// NewDiskTier returns a disk tier rooted at dir (created on first write).
-func NewDiskTier(dir string) *DiskTier { return &DiskTier{dir: dir} }
+// newDiskTier returns a disk tier rooted at dir (created on first write).
+func newDiskTier(dir string) *DiskTier { return &DiskTier{dir: dir} }
 
 // Label identifies the tier; the cache attributes its hits to DiskHits.
 func (t *DiskTier) Label() string { return "disk" }
@@ -296,7 +296,7 @@ func NewCache(opts CacheOptions) *Cache {
 		sizes:    map[string]int64{},
 	}
 	if opts.Dir != "" {
-		c.disk = NewDiskTier(opts.Dir)
+		c.disk = newDiskTier(opts.Dir)
 		c.tiers = append(c.tiers, c.disk)
 	}
 	c.tiers = append(c.tiers, opts.Tiers...)

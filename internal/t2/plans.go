@@ -146,19 +146,3 @@ func FoldedInStyle(style Style, name string) bool {
 	}
 	return false
 }
-
-// DieOfBlock returns the die a block lives on under a non-folded 3D style
-// (derived from the plan rows). Folded blocks return DieBottom with both=
-// true.
-func PlanShapeDies(style Style) map[string]int {
-	rows := Rows(style)
-	out := make(map[string]int)
-	for die := 0; die < 2; die++ {
-		for _, r := range rows[die] {
-			for _, n := range r.Names {
-				out[n] = die
-			}
-		}
-	}
-	return out
-}

@@ -172,8 +172,8 @@ func (e *Engine) ReinitGrid(nx, ny, dies int, tileAreaM2 float64, p Params) erro
 	for d := 0; d < dies; d++ {
 		for i := 0; i < n; i++ {
 			lv.u[d][i] = p.AmbientC
-			// f carries the ambient boundary terms; SetPower/AddPower layer
-			// the tile power on top.
+			// f carries the ambient boundary terms; AddPower layers the
+			// tile power on top.
 			if d == sinkDie {
 				lv.f[d][i] += lv.gSink[i] * p.AmbientC
 			}
@@ -254,14 +254,6 @@ func (e *Engine) markDirty(ix, iy int) {
 	if iy > e.dHiY {
 		e.dHiY = iy
 	}
-}
-
-// SetPower sets the power (physical watts) of tile (ix,iy) on die.
-func (e *Engine) SetPower(die, ix, iy int, watts float64) {
-	lv := e.levels[0]
-	i := iy*lv.nx + ix
-	lv.f[die][i] = e.ambRHS(die, i) + watts
-	e.markDirty(ix, iy)
 }
 
 // AddPower adds watts (physical) to tile (ix,iy) on die.

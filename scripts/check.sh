@@ -190,11 +190,11 @@ go test -race -cpu=4 \
 echo "==> go test -race -cpu=4 (lint engine: parallel load + checks)"
 go test -race -cpu=4 ./internal/lint/...
 
-# fold3dlint includes the PipelineOnly rule: flow stages may only run
-# through the pipeline executor, never by direct call — and, since PR 8,
-# the IndexedScanOnly rule banning nested linear Cells scans in
-# internal/place (legalization and blockage queries must use the spatial
-# indexes).
+# fold3dlint enforces every row of its ban table (Config.Bans in
+# internal/lint/lint.go), among them: flow stages run only through the
+# pipeline executor, never by direct call, and internal/place makes no
+# nested linear Cells scans (legalization and blockage queries must use
+# the spatial indexes).
 echo "==> go run ./cmd/fold3dlint ./..."
 go run ./cmd/fold3dlint ./...
 
