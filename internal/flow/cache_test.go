@@ -3,6 +3,8 @@ package flow
 import (
 	"testing"
 
+	"fold3d/internal/core"
+	"fold3d/internal/extract"
 	"fold3d/internal/pipeline"
 	"fold3d/internal/t2"
 )
@@ -109,5 +111,49 @@ func TestCacheCrossStyleReuse(t *testing.T) {
 	}
 	if st.Hits != stores {
 		t.Errorf("hits = %d, want one per block (%d)", st.Hits, stores)
+	}
+}
+
+// TestBlockPlanKeysPinned pins the literal cache keys of one block's stage
+// plan under three configurations. Disk-tier and fleet-peer entries are
+// addressed by these bytes, so a changed key never fails a build — it only
+// turns every previously written entry into a silent miss. A change here
+// must be deliberate and bump pipeline.SchemaVersion.
+func TestBlockPlanKeysPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		fold bool
+		cfg  func(*Config)
+		want pipeline.Fingerprint
+	}{
+		{"2d-default", false, func(*Config) {}, "c941a2de797637d5ccc67957882716467ccebe531beb8ad8461575322cec2439"},
+		{"fold-f2b-thermal", true, func(c *Config) {
+			c.Thermal = ThermalConfig{Enable: true}
+		}, "2762521cb06c07482516cbd351d0b7a309e4b12f4add27b5cf9fca5d0a2dc7bb"},
+		{"fold-f2f-analytical-hvt", true, func(c *Config) {
+			c.Bond = extract.F2F
+			c.Placer = "analytical"
+			c.UseHVT = true
+		}, "ff81e1aca0359606525e041ab051d43260b91cc4c755d99db87e7275cfb65970"},
+	}
+	d, err := t2.Generate(t2.Config{Scale: 1000, Seed: 42, Only: []string{"L2T0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.cfg(&cfg)
+			b := d.Blocks["L2T0"].Clone()
+			if tc.fold {
+				if _, err := core.Fold(b, core.DefaultFoldOptions()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := &implState{f: New(d, cfg), b: b, aspect: d.Specs["L2T0"].Aspect}
+			if got := st.blockPlan().Fingerprint(); got != tc.want {
+				t.Errorf("block plan key = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -104,6 +104,18 @@ func TestPlanFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestPlanFingerprintPinned pins the literal key bytes of a three-stage
+// chain. Cache entries on disk and on fleet peers are addressed by these
+// bytes, so a change here is a silent miss for every entry written before
+// it: any edit to the hashing recipe must be deliberate and bump
+// SchemaVersion.
+func TestPlanFingerprintPinned(t *testing.T) {
+	const want = "eeb1ec326eb635cecb3c69acb5f13067ffbe4e6fae394300155b25fb46e4b510"
+	if got := buildPlan("in", 1.5, nil).Fingerprint(); got != want {
+		t.Fatalf("plan key = %q, want %q", got, want)
+	}
+}
+
 func TestPlanAddValidation(t *testing.T) {
 	p := NewPlan("v")
 	noop := func(context.Context) error { return nil }
