@@ -211,10 +211,11 @@ func (t *Table) Get(metric string) ([]float64, bool) {
 }
 
 // Diff returns the percent difference of column col (1-based among the
-// non-reference columns) for a metric.
+// non-reference columns) for a metric; col < 1 names the reference column
+// and reports false.
 func (t *Table) Diff(metric string, col int) (float64, bool) {
 	for _, r := range t.Rows {
-		if r.Metric == metric && col-1 < len(r.Diffs) {
+		if r.Metric == metric && col >= 1 && col-1 < len(r.Diffs) {
 			return r.Diffs[col-1], true
 		}
 	}

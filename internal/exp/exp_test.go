@@ -44,6 +44,9 @@ func TestTableHelpers(t *testing.T) {
 	if _, ok := tb.Diff("m", 5); ok {
 		t.Error("Diff must miss for out-of-range column")
 	}
+	if _, ok := tb.Diff("m", 0); ok {
+		t.Error("Diff must miss for the reference column")
+	}
 }
 
 func TestBlockWithPortsAttachesPorts(t *testing.T) {
