@@ -154,9 +154,6 @@ func (r *Ring) NodeByID(id string) (Node, bool) {
 	return n, ok
 }
 
-// Len returns the fleet size.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // ParsePeers parses the -peers flag format: a comma-separated list of
 // id=url entries naming the FULL fleet, self included — every node is
 // started with the same value, e.g.

@@ -122,16 +122,3 @@ func Score(profiles []BlockProfile, systemPowerMW float64, c Criteria) []Selecti
 	})
 	return out
 }
-
-// SystemPower sums all copies of all profiles.
-func SystemPower(profiles []BlockProfile) float64 {
-	var total float64
-	for _, p := range profiles {
-		n := p.Copies
-		if n < 1 {
-			n = 1
-		}
-		total += p.TotalPowerMW * float64(n)
-	}
-	return total
-}

@@ -88,21 +88,6 @@ func (e *Extractor) layerFor(b *netlist.Block, drawnLen, inf float64) int {
 	}
 }
 
-// NetLength returns the drawn routed-length estimate for net n: the Steiner
-// length over its pins, routed through its 3D via points if present (the
-// crossing splits the net into a per-die segment each).
-func NetLength(b *netlist.Block, n *netlist.Net) float64 {
-	var buf []geom.Point
-	return netLengthWith(b, n, geom.SteinerWL, &buf)
-}
-
-// NetLengthRSMT is NetLength with a real rectilinear Steiner tree for small
-// nets (geom.RSMT falls back to the spanning tree beyond its pin bound).
-func NetLengthRSMT(b *netlist.Block, n *netlist.Net) float64 {
-	var buf []geom.Point
-	return netLengthWith(b, n, geom.RSMT, &buf)
-}
-
 // netLengthWith computes the drawn length through tree, gathering via-free
 // nets' pins into *buf (caller scratch, overwritten per call).
 func netLengthWith(b *netlist.Block, n *netlist.Net, tree func([]geom.Point) float64, buf *[]geom.Point) float64 {

@@ -97,10 +97,11 @@ func TestNetLengthWithVias(t *testing.T) {
 	b.Outline[1] = b.Outline[0]
 	b.Cells[1].Die = netlist.DieTop
 	n := &b.Nets[0]
-	direct := NetLength(b, n)
+	var buf []geom.Point
+	direct := netLengthWith(b, n, geom.SteinerWL, &buf)
 	// A via far off the direct path must lengthen the route.
 	n.Vias = []geom.Point{{X: 90, Y: 5}}
-	detour := NetLength(b, n)
+	detour := netLengthWith(b, n, geom.SteinerWL, &buf)
 	if detour <= direct {
 		t.Errorf("via detour did not lengthen the net: %v <= %v", detour, direct)
 	}
@@ -249,8 +250,9 @@ func TestRSMTNetLengthNotLonger(t *testing.T) {
 		net.Sinks = append(net.Sinks, netlist.PinRef{Kind: netlist.KindCell, Idx: int32(i)})
 	}
 	b.AddNet(net)
-	stat := NetLength(b, &b.Nets[0])
-	rsmt := NetLengthRSMT(b, &b.Nets[0])
+	var buf []geom.Point
+	stat := netLengthWith(b, &b.Nets[0], geom.SteinerWL, &buf)
+	rsmt := netLengthWith(b, &b.Nets[0], geom.RSMT, &buf)
 	if rsmt > stat {
 		t.Errorf("RSMT %v longer than statistical %v", rsmt, stat)
 	}

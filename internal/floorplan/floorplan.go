@@ -1,10 +1,6 @@
-// Package floorplan places blocks on the chip. It provides two planners:
-//
-//   - a user-defined row plan (the paper arranges the T2's regular block
-//     arrays by hand and modified the 3D floorplanner of Kim et al. [5] to
-//     accept such user plans);
-//   - a sequence-pair simulated-annealing floorplanner for irregular block
-//     sets, used as the automatic fallback and exercised by tests.
+// Package floorplan places blocks on the chip from a user-defined row plan:
+// the paper arranges the T2's regular block arrays by hand and modified the
+// 3D floorplanner of Kim et al. [5] to accept such user plans.
 //
 // It also plans the inter-block TSV arrays of F2B chip stacks (TSVs live
 // outside blocks, in the channels) and assigns block I/O port locations from

@@ -87,8 +87,8 @@ func (f *Flow) BuildChipContext(ctx context.Context, style t2.Style) (*ChipResul
 
 // chipState carries one full-chip build through its stage plan: folding,
 // floorplanning, block implementation, chip-net extraction, aggregation.
-// Like implState, its stage* methods are registered into a pipeline.Plan
-// and invoked only by the executor; the chip plan itself runs uncached (its
+// Like implState, its stage* methods are listed in a pipeline.Plan and
+// invoked only by the executor; the chip plan itself runs uncached (its
 // own work is cheap), while the per-block plans inside stageImplement carry
 // the artifact cache.
 type chipState struct {
@@ -112,14 +112,15 @@ func (f *Flow) buildChip(ctx context.Context, style t2.Style) (*ChipResult, erro
 	}
 	sort.Strings(st.names)
 
-	p := pipeline.NewPlan("chip:" + style.String())
 	// Chip stages run uncached, so no Key material is declared: the block
 	// plans inside stageImplement fingerprint everything that matters.
-	p.MustAdd(pipeline.Stage{Name: "fold", Run: st.stageFold})
-	p.MustAdd(pipeline.Stage{Name: "floorplan", After: []string{"fold"}, Run: st.stageFloorplan})
-	p.MustAdd(pipeline.Stage{Name: "implement", After: []string{"floorplan"}, Run: st.stageImplement})
-	p.MustAdd(pipeline.Stage{Name: "chip-nets", After: []string{"implement"}, Run: st.stageChipNets})
-	p.MustAdd(pipeline.Stage{Name: "aggregate", After: []string{"chip-nets"}, Run: st.stageAggregate})
+	p := &pipeline.Plan{Name: "chip:" + style.String(), Stages: []pipeline.Stage{
+		{Name: "fold", Run: st.stageFold},
+		{Name: "floorplan", Run: st.stageFloorplan},
+		{Name: "implement", Run: st.stageImplement},
+		{Name: "chip-nets", Run: st.stageChipNets},
+		{Name: "aggregate", Run: st.stageAggregate},
+	}}
 
 	var ex pipeline.Executor
 	if err := ex.Run(ctx, p, nil); err != nil {

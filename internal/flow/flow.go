@@ -9,8 +9,6 @@ package flow
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"sync"
 
 	"fold3d/internal/cts"
@@ -27,7 +25,6 @@ import (
 	"fold3d/internal/power"
 	"fold3d/internal/sta"
 	"fold3d/internal/t2"
-	"fold3d/internal/tech"
 	"fold3d/internal/thermal"
 )
 
@@ -107,10 +104,6 @@ type Config struct {
 	// concurrently — but under a parallel build their order across blocks
 	// is scheduler-dependent.
 	Progress func(Progress)
-	// Trace, when non-nil, receives per-stage progress lines (stage name,
-	// block, WNS) — the flow's equivalent of a tool log. Writes are
-	// serialized under the flow's mutex, so any io.Writer works.
-	Trace io.Writer
 	// Cache, when non-nil, is the content-addressed artifact cache consulted
 	// per block implementation: a block whose complete input state (netlist,
 	// outline, ports and budgets, seed, configuration) fingerprints equal to
@@ -182,8 +175,8 @@ type Flow struct {
 	D   *t2.Design
 	Cfg Config
 	Ex  *extract.Extractor
-	// mu serializes Trace writes and Progress callbacks across the chip
-	// build's worker pool.
+	// mu serializes Progress callbacks across the chip build's worker
+	// pool.
 	mu *sync.Mutex
 	// placers and opts recycle per-block engine state across the chip
 	// build: a finished block's placer and optimizer (with its timing
@@ -319,24 +312,6 @@ func (f *Flow) placeOptions() place.Options {
 	return po
 }
 
-// trace logs one flow stage when tracing is enabled. The write is
-// serialized under the flow mutex so parallel block builds interleave
-// whole lines, never bytes.
-func (f *Flow) trace(b *netlist.Block, stage string) {
-	if f.Cfg.Trace == nil {
-		return
-	}
-	rep, err := sta.Analyze(b, 0)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err != nil {
-		fmt.Fprintf(f.Cfg.Trace, "%-8s %-14s STA error: %v\n", b.Name, stage, err)
-		return
-	}
-	fmt.Fprintf(f.Cfg.Trace, "%-8s %-14s WNS %8.1f TNS %10.0f fail %d/%d cells %d\n",
-		b.Name, stage, rep.WNS, rep.TNS, rep.Failing, rep.Endpoints, len(b.Cells))
-}
-
 // normalizePorts rescales port locations proportionally into the block
 // outline when they were assigned against a different (estimated) shape —
 // block-level experiments attach ports using spec-estimated geometry, and a
@@ -420,18 +395,4 @@ func (f *Flow) repeaterBudgetPerDie(b *netlist.Block) [2]float64 {
 		out[d] = free
 	}
 	return out
-}
-
-// Profile converts a block result into the folding-criteria profile
-// (core.BlockProfile) with the given copy count.
-func (r *BlockResult) Profile(copies int) (name string, totalMW, netMW float64, longWires int) {
-	return r.Block.Name, r.Power.TotalMW, r.Power.NetMW, r.Stats.NumLongWire
-}
-
-// VthOf exposes the library flavor used by the flow for reports.
-func (f *Flow) VthOf() tech.VthClass {
-	if f.Cfg.UseHVT {
-		return tech.HVT
-	}
-	return tech.RVT
 }

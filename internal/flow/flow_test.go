@@ -7,7 +7,6 @@ import (
 	"fold3d/internal/extract"
 	"fold3d/internal/netlist"
 	"fold3d/internal/t2"
-	"fold3d/internal/tech"
 )
 
 func genBlocks(t *testing.T, names ...string) (*t2.Design, *Flow) {
@@ -166,25 +165,4 @@ func TestDualVthFlowSwaps(t *testing.T) {
 	if r.HVTSwapped == 0 || b.HVTFraction() == 0 {
 		t.Error("dual-Vth flow swapped nothing")
 	}
-	if fl.VthOf() != tech.HVT {
-		t.Error("VthOf wrong")
-	}
 }
-
-func TestTraceOutput(t *testing.T) {
-	d, _ := genBlocks(t, "L2B0")
-	var buf traceBuf
-	cfg := DefaultConfig()
-	cfg.Trace = &buf
-	fl := New(d, cfg)
-	if _, err := fl.ImplementBlock(d.Blocks["L2B0"], 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if buf.n == 0 {
-		t.Error("trace produced no output")
-	}
-}
-
-type traceBuf struct{ n int }
-
-func (b *traceBuf) Write(p []byte) (int, error) { b.n += len(p); return len(p), nil }

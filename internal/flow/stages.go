@@ -17,17 +17,17 @@ import (
 
 // implState carries one block implementation through its stage plan. Every
 // phase of the old monolithic ImplementBlock/finishBlock is a stage* method
-// here; the methods are registered into a pipeline.Plan and invoked only by
-// the pipeline executor (a fold3dlint ban row rejects direct
-// stage-to-stage calls), so the dependency structure of the flow is explicit
-// and the artifact cache can fingerprint exactly what each stage reads.
+// here; the methods are listed in a pipeline.Plan and invoked only by the
+// pipeline executor (a fold3dlint ban row rejects direct stage-to-stage
+// calls), so the order of the flow is explicit and the artifact cache can
+// fingerprint exactly what each stage reads.
 type implState struct {
 	f      *Flow
 	b      *netlist.Block
 	aspect float64
 
 	// Cross-stage engine state, created by the owning stage and consumed
-	// downstream strictly through the plan's dependency edges. placer is
+	// only by the stages after it in the plan. placer is
 	// whichever registered backend the flow's Cfg.Placer resolved to; the
 	// downstream stages only ever re-legalize through it.
 	placer  place.Backend
@@ -40,7 +40,7 @@ type implState struct {
 	res *BlockResult
 }
 
-// blockPlan builds the stage DAG of one block implementation. The stage
+// blockPlan builds the stage chain of one block implementation. The stage
 // bodies preserve the exact operation order of the pre-pipeline flow —
 // identical RNG draws, identical float accumulation — so fingerprints and
 // the EXPERIMENTS.md numbers are unchanged; only the orchestration moved.
@@ -54,16 +54,14 @@ type implState struct {
 // input honestly differs.
 func (st *implState) blockPlan() *pipeline.Plan {
 	f, b := st.f, st.b
-	p := pipeline.NewPlan("block:" + b.Name)
-
 	in := pipeline.NewHasher()
 	in.F64(f.D.Cfg.Scale)
 	in.Uint(f.Cfg.Seed)
 	in.F64(st.aspect)
 	hashBlock(in, b)
-	p.SetInput(in.Sum())
+	p := &pipeline.Plan{Name: "block:" + b.Name, Input: in.Sum()}
 
-	p.MustAdd(pipeline.Stage{
+	p.Stages = append(p.Stages, pipeline.Stage{
 		Name: "prepare",
 		Key: func(h *pipeline.Hasher) {
 			h.F64(f.Cfg.Util)
@@ -72,10 +70,8 @@ func (st *implState) blockPlan() *pipeline.Plan {
 			h.Int(int(f.Cfg.Bond))
 		},
 		Run: st.stagePrepare,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "place",
-		After: []string{"prepare"},
+	}, pipeline.Stage{
+		Name: "place",
 		Key: func(h *pipeline.Hasher) {
 			// place.Options is a flat value struct (no maps), so %#v is a
 			// deterministic rendering of every field including Seed.
@@ -92,19 +88,15 @@ func (st *implState) blockPlan() *pipeline.Plan {
 		},
 		Run: st.stagePlace,
 	})
-	prev := "place"
 	if b.Is3D {
-		p.MustAdd(pipeline.Stage{
-			Name:  "vias",
-			After: []string{"place"},
-			Key:   func(h *pipeline.Hasher) { h.Int(int(f.Cfg.Bond)) },
-			Run:   st.stageVias,
+		p.Stages = append(p.Stages, pipeline.Stage{
+			Name: "vias",
+			Key:  func(h *pipeline.Hasher) { h.Int(int(f.Cfg.Bond)) },
+			Run:  st.stageVias,
 		})
-		prev = "vias"
 	}
-	p.MustAdd(pipeline.Stage{
-		Name:  "extract",
-		After: []string{prev},
+	p.Stages = append(p.Stages, pipeline.Stage{
+		Name: "extract",
 		Key: func(h *pipeline.Hasher) {
 			h.Int(int(f.Cfg.Bond))
 			h.Bool(f.Cfg.TSVCoupling)
@@ -112,61 +104,44 @@ func (st *implState) blockPlan() *pipeline.Plan {
 		},
 		Run: st.stageExtract,
 	})
-	prev = "extract"
 	if f.Cfg.Thermal.Enable && b.Is3D && f.Cfg.Bond == extract.F2B {
 		// Thermal-via planning needs the F2B TSV site grid and an extracted
 		// netlist; it mutates geometry, so it must precede buffering. The
 		// full thermal config is the stage key — any knob change honestly
 		// misses the cache — and with Enable false the stage is simply not
-		// registered, so thermal-off plans fingerprint byte-identically to
+		// listed, so thermal-off plans fingerprint byte-identically to
 		// pre-thermal builds.
-		p.MustAdd(pipeline.Stage{
-			Name:  "thermal-vias",
-			After: []string{"extract"},
-			Key:   func(h *pipeline.Hasher) { h.Str(fmt.Sprintf("%#v", f.Cfg.Thermal)) },
-			Run:   st.stageThermalVias,
+		p.Stages = append(p.Stages, pipeline.Stage{
+			Name: "thermal-vias",
+			Key:  func(h *pipeline.Hasher) { h.Str(fmt.Sprintf("%#v", f.Cfg.Thermal)) },
+			Run:  st.stageThermalVias,
 		})
-		prev = "thermal-vias"
 	}
-	p.MustAdd(pipeline.Stage{
-		Name:  "buffer",
-		After: []string{prev},
-		Key:   func(h *pipeline.Hasher) { h.Str(fmt.Sprintf("%#v", f.Cfg.Opt)) },
-		Run:   st.stageBuffer,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "cts",
-		After: []string{"buffer"},
-		Key:   func(h *pipeline.Hasher) { h.Str(fmt.Sprintf("%#v", f.Cfg.CTS)) },
-		Run:   st.stageCTS,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "legalize",
-		After: []string{"cts"},
-		Run:   st.stageLegalize,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "timing-opt",
-		After: []string{"legalize"},
-		Run:   st.stageTimingOpt,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "power-opt",
-		After: []string{"timing-opt"},
-		Run:   st.stagePowerOpt,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "vth",
-		After: []string{"power-opt"},
-		Key:   func(h *pipeline.Hasher) { h.Bool(f.Cfg.UseHVT) },
-		Run:   st.stageVth,
-	})
-	p.MustAdd(pipeline.Stage{
-		Name:  "final",
-		After: []string{"vth"},
-		Key:   func(h *pipeline.Hasher) { h.Bool(f.Cfg.Opt.FullRecompute) },
-		Run:   st.stageFinal,
-	})
+	p.Stages = append(p.Stages,
+		pipeline.Stage{
+			Name: "buffer",
+			Key:  func(h *pipeline.Hasher) { h.Str(fmt.Sprintf("%#v", f.Cfg.Opt)) },
+			Run:  st.stageBuffer,
+		},
+		pipeline.Stage{
+			Name: "cts",
+			Key:  func(h *pipeline.Hasher) { h.Str(fmt.Sprintf("%#v", f.Cfg.CTS)) },
+			Run:  st.stageCTS,
+		},
+		pipeline.Stage{Name: "legalize", Run: st.stageLegalize},
+		pipeline.Stage{Name: "timing-opt", Run: st.stageTimingOpt},
+		pipeline.Stage{Name: "power-opt", Run: st.stagePowerOpt},
+		pipeline.Stage{
+			Name: "vth",
+			Key:  func(h *pipeline.Hasher) { h.Bool(f.Cfg.UseHVT) },
+			Run:  st.stageVth,
+		},
+		pipeline.Stage{
+			Name: "final",
+			Key:  func(h *pipeline.Hasher) { h.Bool(f.Cfg.Opt.FullRecompute) },
+			Run:  st.stageFinal,
+		},
+	)
 	return p
 }
 
@@ -254,13 +229,11 @@ func (st *implState) stageBuffer(ctx context.Context) error {
 	}
 	st.o = f.getOptimizer(optCfg)
 
-	f.trace(b, "placed")
 	reps, err := st.o.BufferLongNets(b)
 	if err != nil {
 		return fmt.Errorf("flow: buffering %s: %v", b.Name, err)
 	}
 	st.reps = reps
-	f.trace(b, "buffered")
 	return nil
 }
 
@@ -289,17 +262,15 @@ func (st *implState) stageLegalize(ctx context.Context) error {
 		return err
 	}
 	st.o.InvalidateTiming()
-	f.trace(b, "cts+legal")
 	return nil
 }
 
 // stageTimingOpt closes setup timing by upsizing and splitting.
 func (st *implState) stageTimingOpt(ctx context.Context) error {
-	f, b := st.f, st.b
+	b := st.b
 	if _, err := st.o.FixTiming(b); err != nil {
 		return fmt.Errorf("flow: timing opt on %s: %v", b.Name, err)
 	}
-	f.trace(b, "timing-opt")
 	return nil
 }
 
@@ -309,11 +280,10 @@ func (st *implState) stageTimingOpt(ctx context.Context) error {
 // to leakage savings down to the tighter SlackMargin — mirroring how
 // sign-off flows stage sizing and multi-Vth optimization.
 func (st *implState) stagePowerOpt(ctx context.Context) error {
-	f, b := st.f, st.b
+	b := st.b
 	if _, err := st.o.RecoverPower(b); err != nil {
 		return fmt.Errorf("flow: power opt on %s: %v", b.Name, err)
 	}
-	f.trace(b, "power-opt")
 	return nil
 }
 
@@ -328,7 +298,6 @@ func (st *implState) stageVth(ctx context.Context) error {
 		return fmt.Errorf("flow: Vth opt on %s: %v", b.Name, err)
 	}
 	st.swapped = swapped
-	f.trace(b, "vth-opt")
 	return nil
 }
 

@@ -203,6 +203,5 @@ func (st *implState) stageThermalVias(ctx context.Context) error {
 			return err
 		}
 	}
-	f.trace(b, "thermal-vias")
 	return nil
 }

@@ -116,14 +116,6 @@ func (r Rect) Translate(dp Point) Rect {
 	return Rect{r.Lo.Add(dp), r.Hi.Add(dp)}
 }
 
-// Clamp returns p moved to the nearest point inside r.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		math.Min(math.Max(p.X, r.Lo.X), r.Hi.X),
-		math.Min(math.Max(p.Y, r.Lo.Y), r.Hi.Y),
-	}
-}
-
 // String formats the rectangle as [lo hi].
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s %s]", r.Lo, r.Hi)

@@ -130,7 +130,7 @@ func TestUnionContainsBoth(t *testing.T) {
 	}
 }
 
-func TestExpandTranslateClamp(t *testing.T) {
+func TestExpandTranslate(t *testing.T) {
 	r := NewRect(0, 0, 10, 10)
 	e := r.Expand(2)
 	if e != NewRect(-2, -2, 12, 12) {
@@ -139,9 +139,6 @@ func TestExpandTranslateClamp(t *testing.T) {
 	tr := r.Translate(Point{1, -1})
 	if tr != NewRect(1, -1, 11, 9) {
 		t.Errorf("Translate = %v", tr)
-	}
-	if got := r.Clamp(Point{-5, 20}); got != (Point{0, 10}) {
-		t.Errorf("Clamp = %v", got)
 	}
 }
 

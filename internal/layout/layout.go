@@ -124,28 +124,6 @@ func RenderChipSVG(fp *floorplan.Floorplan, die netlist.Die, nets []floorplan.Ch
 	return c.String()
 }
 
-// BlockSummary returns a text description of an implemented block layout —
-// the numbers the paper prints next to its layout shots.
-func BlockSummary(b *netlist.Block) string {
-	var sb strings.Builder
-	mode := "2D"
-	if b.Is3D {
-		mode = "3D"
-	}
-	fmt.Fprintf(&sb, "%s (%s): outline %.1f x %.1f um", b.Name, mode, b.Outline[0].W(), b.Outline[0].H())
-	if b.Is3D {
-		fmt.Fprintf(&sb, " x2 dies")
-	}
-	fmt.Fprintf(&sb, ", %d cells, %d macros, %d nets", len(b.Cells), len(b.Macros), len(b.Nets))
-	if b.NumTSV > 0 {
-		fmt.Fprintf(&sb, ", %d TSVs", b.NumTSV)
-	}
-	if b.NumF2F > 0 {
-		fmt.Fprintf(&sb, ", %d F2F vias", b.NumF2F)
-	}
-	return sb.String()
-}
-
 // ChipSummary returns a text description of a chip floorplan.
 func ChipSummary(fp *floorplan.Floorplan) string {
 	both, single := 0, 0

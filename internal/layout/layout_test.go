@@ -86,15 +86,6 @@ func TestRenderChipSVG(t *testing.T) {
 }
 
 func TestSummaries(t *testing.T) {
-	b := renderBlock(t)
-	s := BlockSummary(b)
-	if !strings.Contains(s, "lay") || !strings.Contains(s, "1 TSVs") {
-		t.Errorf("block summary: %s", s)
-	}
-	b.Is3D = true
-	if !strings.Contains(BlockSummary(b), "3D") {
-		t.Error("3D flag missing from summary")
-	}
 	fp := &floorplan.Floorplan{
 		Outline: geom.NewRect(0, 0, 100, 80),
 		Blocks: map[string]*floorplan.Placed{

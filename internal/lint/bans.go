@@ -24,7 +24,7 @@ const (
 	// BanStageCall matches a direct call to a same-package stage entry
 	// point: a function or method named "stage" followed by a capitalized
 	// phase name (stagePlace, stageExtract). Referencing a stage as a
-	// value — how stages are registered into a pipeline.Plan — is not a
+	// value — how stages are listed in a pipeline.Plan — is not a
 	// call and stays allowed.
 	BanStageCall
 	// BanNestedCellsScan matches a loop over a netlist.Block's Cells that

@@ -19,7 +19,7 @@ func BenchmarkLintRepo(b *testing.B) {
 		if errs := l.Errors(); len(errs) != 0 {
 			b.Fatalf("load errors: %v", errs)
 		}
-		if fs := Run(DefaultConfig(), pkgs, AllChecks()); len(fs) != 0 {
+		if fs, _ := RunTimed(DefaultConfig(), pkgs, AllChecks()); len(fs) != 0 {
 			b.Fatalf("repo not lint-clean during benchmark: %v", fs[0])
 		}
 	}

@@ -28,7 +28,7 @@ func TestCtxFlowFixture(t *testing.T) {
 
 func TestCtxFlowOffOutsideCtxPackages(t *testing.T) {
 	_, p := loadFixture(t, "ctxflow", "fixture/elsewhere")
-	findings := Run(DefaultConfig(), []*Package{p}, []*Check{CtxFlowCheck()})
+	findings, _ := RunTimed(DefaultConfig(), []*Package{p}, []*Check{CtxFlowCheck()})
 	if len(findings) != 0 {
 		t.Errorf("ctxflow must be scoped to CtxPackages, got %d findings", len(findings))
 	}
@@ -62,10 +62,10 @@ func loadSrc(t *testing.T, name, src string) *Package {
 func expectSeeded(t *testing.T, cfg *Config, p *Package, check *Check, want string) {
 	t.Helper()
 	syntax := []*Check{DeterminismCheck(), MapIterCheck(), FloatCmpCheck(), ErrDropCheck()}
-	if fs := Run(cfg, []*Package{p}, syntax); len(fs) != 0 {
+	if fs, _ := RunTimed(cfg, []*Package{p}, syntax); len(fs) != 0 {
 		t.Fatalf("seeded bug is visible to the syntax suite (test is vacuous): %v", fs)
 	}
-	fs := Run(cfg, []*Package{p}, []*Check{check})
+	fs, _ := RunTimed(cfg, []*Package{p}, []*Check{check})
 	found := false
 	for _, f := range fs {
 		if strings.Contains(f.Message, want) {

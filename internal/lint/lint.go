@@ -132,11 +132,11 @@ func DefaultConfig() *Config {
 			// it owns an Engine and must mark-and-update, never full-build.
 			{Kind: BanFunc, Pkg: "internal/sta", Name: "Analyze", In: []string{"internal/opt"}, Check: "apiguard",
 				Message: "one-shot sta.Analyze here rebuilds the timing graph from scratch; this package must reuse its persistent sta.Engine (MarkCellDirty/MarkNetDirty + Engine.Analyze)"},
-			// The flow's phases are registered pipeline stages; only the
-			// pipeline executor may invoke them, so the stage DAG and the
+			// The flow's phases are pipeline stages; only the pipeline
+			// executor may invoke them, so the stage order and the
 			// artifact-cache fingerprints stay honest.
 			{Kind: BanStageCall, In: []string{"internal/flow"}, Check: "apiguard",
-				Message: "direct call to pipeline stage {name}: stages run only through the pipeline executor (register into a pipeline.Plan)"},
+				Message: "direct call to pipeline stage {name}: stages run only through the pipeline executor (list it in a pipeline.Plan)"},
 			// The flow selects placement backends by Config.Placer; wiring a
 			// concrete placer here would bypass the registry's validation
 			// and the placer-aware cache keys.
@@ -185,15 +185,9 @@ type Timing struct {
 	Elapsed time.Duration
 }
 
-// Run executes checks over pkgs, filters findings through //lint:ignore
-// directives, and returns the remainder sorted by position.
-func Run(cfg *Config, pkgs []*Package, checks []*Check) []Finding {
-	out, _ := RunTimed(cfg, pkgs, checks)
-	return out
-}
-
-// RunTimed is Run plus per-check cumulative timings (sorted slowest
-// first). Every (package, check) pair runs as an independent pool task
+// RunTimed executes checks over pkgs, filters findings through
+// //lint:ignore directives, and returns the remainder sorted by position,
+// plus per-check cumulative timings (sorted slowest first). Every (package, check) pair runs as an independent pool task
 // writing into its own slot; the merge walks slots in index order, so the
 // output is identical to a sequential run regardless of scheduling.
 func RunTimed(cfg *Config, pkgs []*Package, checks []*Check) ([]Finding, []Timing) {
@@ -355,21 +349,4 @@ func containsFuncLit(n ast.Node) bool {
 // covers reports whether f is suppressed by a directive.
 func (ig *ignoreSet) covers(f Finding) bool {
 	return ig.keys[ignoreKey{f.Pos.Filename, f.Pos.Line, f.Check}]
-}
-
-// funcBodies invokes fn on every function body in file: declarations and
-// literals, including literals nested inside other functions.
-func funcBodies(file *ast.File, fn func(name string, body *ast.BlockStmt)) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				fn(d.Name.Name, d.Body)
-			}
-		case *ast.FuncLit:
-			fn("func literal", d.Body)
-			// Return true so literals nested inside this one are visited.
-		}
-		return true
-	})
 }

@@ -54,7 +54,7 @@ func collectWants(p *Package) map[wantKey][]string {
 // want annotations exactly (every want matched, every finding wanted).
 func checkFixture(t *testing.T, cfg *Config, p *Package, checks []*Check) {
 	t.Helper()
-	findings := Run(cfg, []*Package{p}, checks)
+	findings, _ := RunTimed(cfg, []*Package{p}, checks)
 	wants := collectWants(p)
 
 	matched := map[int]bool{} // finding index -> consumed
@@ -142,7 +142,7 @@ func banOutOfScope(t *testing.T, fixture string) {
 		}
 	}
 	_, p := loadFixture(t, fixture, "fixture/"+fixture+"-off")
-	if fs := Run(cfg, []*Package{p}, checks); len(fs) != 0 {
+	if fs, _ := RunTimed(cfg, []*Package{p}, checks); len(fs) != 0 {
 		t.Errorf("unrestricted package flagged: %v", fs)
 	}
 }
@@ -157,7 +157,7 @@ func banExcepted(t *testing.T, fixture string) {
 		for _, e := range b.Except {
 			n++
 			_, p := loadFixture(t, fixture, "fold3d/"+e)
-			if fs := Run(cfg, []*Package{p}, checks); len(fs) != 0 {
+			if fs, _ := RunTimed(cfg, []*Package{p}, checks); len(fs) != 0 {
 				t.Errorf("%s: exception not honored: %v", e, fs)
 			}
 		}
@@ -189,7 +189,7 @@ func TestDeterminismSkipsNonAlgoPackages(t *testing.T) {
 	// Outside algorithm packages the import/call rules are off, but the
 	// goroutine rule still applies: only the Spawn fixture line may fire.
 	_, p := loadFixture(t, "determinism", "fixture/other")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{DeterminismCheck()})
+	fs, _ := RunTimed(DefaultConfig(), []*Package{p}, []*Check{DeterminismCheck()})
 	if len(fs) != 1 || !strings.Contains(fs[0].Message, "bare go statement") {
 		t.Errorf("non-algo package: want only the goroutine finding, got %v", fs)
 	}
@@ -236,7 +236,7 @@ func TestAPIGuardFixture(t *testing.T) {
 
 func TestIgnoreDirectives(t *testing.T) {
 	_, p := loadFixture(t, "ignore", "fixture/internal/ignorefix")
-	findings := Run(DefaultConfig(), []*Package{p}, []*Check{FloatCmpCheck()})
+	findings, _ := RunTimed(DefaultConfig(), []*Package{p}, []*Check{FloatCmpCheck()})
 
 	// The two reasoned directives suppress their findings; the wrong-check
 	// and missing-reason cases survive, and the reasonless directive is
@@ -293,7 +293,7 @@ func leak(a, b float64) bool {
 	return a == b
 }
 `)
-	findings := Run(DefaultConfig(), []*Package{p}, []*Check{FloatCmpCheck()})
+	findings, _ := RunTimed(DefaultConfig(), []*Package{p}, []*Check{FloatCmpCheck()})
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want exactly the uncovered one in leak:\n%s", len(findings), renderAll(findings))
 	}

@@ -115,15 +115,18 @@ func TestPropertyCloneEquivalence(t *testing.T) {
 }
 
 func TestPropertyNetIs3DConsistentWithCuts(t *testing.T) {
-	// Cut3DNets must agree with NetIs3D net by net.
+	// A net is cut iff its pins sit on both dies: NetIs3D must agree with
+	// the die set of the net's pins, net by net.
 	f := func(seed uint64) bool {
 		b := randomValidBlock(seed)
-		cuts := map[int]bool{}
-		for _, i := range Cut3DNets(b) {
-			cuts[i] = true
-		}
 		for i := range b.Nets {
-			if b.NetIs3D(&b.Nets[i]) != cuts[i] {
+			n := &b.Nets[i]
+			var dies [2]bool
+			dies[b.PinDie(n.Driver)] = true
+			for _, s := range n.Sinks {
+				dies[b.PinDie(s)] = true
+			}
+			if b.NetIs3D(n) != (dies[0] && dies[1]) {
 				return false
 			}
 		}

@@ -44,41 +44,6 @@ func CollectStats(b *Block, longThreshold float64) Stats {
 	return s
 }
 
-// LongWires returns the indices of nets longer than threshold, sorted by
-// decreasing length. The folding criteria (§4.1) use the count; buffer
-// insertion walks the list.
-func LongWires(b *Block, threshold float64) []int {
-	var idx []int
-	for i := range b.Nets {
-		if b.Nets[i].RouteLen > threshold {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, c int) bool {
-		return b.Nets[idx[a]].RouteLen > b.Nets[idx[c]].RouteLen
-	})
-	return idx
-}
-
-// FanoutHistogram returns counts of nets by sink count (1, 2, 3, 4+).
-func FanoutHistogram(b *Block) [4]int {
-	var h [4]int
-	for i := range b.Nets {
-		f := len(b.Nets[i].Sinks)
-		switch {
-		case f <= 1:
-			h[0]++
-		case f == 2:
-			h[1]++
-		case f == 3:
-			h[2]++
-		default:
-			h[3]++
-		}
-	}
-	return h
-}
-
 // GroupNames returns the distinct instance Group labels in b, sorted. For
 // the SPC this enumerates its functional unit blocks (FUBs).
 func GroupNames(b *Block) []string {
@@ -101,15 +66,6 @@ func GroupNames(b *Block) []string {
 	return names
 }
 
-// GroupCellCount returns the number of cells in each Group of b.
-func GroupCellCount(b *Block) map[string]int {
-	m := make(map[string]int)
-	for i := range b.Cells {
-		m[b.Cells[i].Group]++
-	}
-	return m
-}
-
 // CellAreaByDie returns the standard-cell plus macro area per die.
 func CellAreaByDie(b *Block) [2]float64 {
 	var a [2]float64
@@ -120,28 +76,6 @@ func CellAreaByDie(b *Block) [2]float64 {
 		a[b.Macros[i].Die] += b.Macros[i].Model.Area()
 	}
 	return a
-}
-
-// Cut3DNets returns the indices of nets spanning both dies.
-func Cut3DNets(b *Block) []int {
-	var idx []int
-	for i := range b.Nets {
-		if b.NetIs3D(&b.Nets[i]) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// DriveHistogram counts cells by drive strength; the paper's cell-power
-// argument (3D slack lets cells shrink) shows up as this histogram shifting
-// toward smaller drives in 3D designs.
-func DriveHistogram(b *Block) map[int]int {
-	h := make(map[int]int)
-	for i := range b.Cells {
-		h[b.Cells[i].Master.Drive]++
-	}
-	return h
 }
 
 // MeanDrive returns the average drive strength of the block's cells.

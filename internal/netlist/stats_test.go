@@ -50,31 +50,11 @@ func TestCollectStats(t *testing.T) {
 	}
 }
 
-func TestLongWiresSorted(t *testing.T) {
-	b := statsBlock(t)
-	idx := LongWires(b, 40)
-	if len(idx) != 2 || b.Nets[idx[0]].RouteLen < b.Nets[idx[1]].RouteLen {
-		t.Errorf("LongWires = %v", idx)
-	}
-}
-
-func TestFanoutHistogram(t *testing.T) {
-	b := statsBlock(t)
-	h := FanoutHistogram(b)
-	if h[0] != 2 || h[1] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestGroups(t *testing.T) {
 	b := statsBlock(t)
 	names := GroupNames(b)
 	if len(names) != 2 || names[0] != "g0" || names[1] != "g1" {
 		t.Errorf("GroupNames = %v", names)
-	}
-	counts := GroupCellCount(b)
-	if counts["g0"] != 2 || counts["g1"] != 2 {
-		t.Errorf("GroupCellCount = %v", counts)
 	}
 }
 
@@ -86,22 +66,19 @@ func TestCellAreaByDieAndCuts(t *testing.T) {
 	if a[0] <= 0 || a[1] <= 0 {
 		t.Errorf("CellAreaByDie = %v", a)
 	}
-	cuts := Cut3DNets(b)
+	var cuts []int
+	for i := range b.Nets {
+		if b.NetIs3D(&b.Nets[i]) {
+			cuts = append(cuts, i)
+		}
+	}
 	if len(cuts) != 1 || cuts[0] != 1 {
-		t.Errorf("Cut3DNets = %v (net n1 crosses)", cuts)
+		t.Errorf("3D nets = %v (net n1 crosses)", cuts)
 	}
 }
 
-func TestDriveHistogramAndMeanDrive(t *testing.T) {
+func TestMeanDrive(t *testing.T) {
 	b := statsBlock(t)
-	h := DriveHistogram(b)
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total != 4 {
-		t.Errorf("histogram total = %d", total)
-	}
 	// Drives used: X1, X2, X4, X8 -> mean 3.75.
 	if got := MeanDrive(b); got != 3.75 {
 		t.Errorf("MeanDrive = %v", got)

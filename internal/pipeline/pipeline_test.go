@@ -74,8 +74,6 @@ func TestHasherFraming(t *testing.T) {
 
 // buildPlan makes a three-stage chain plan A -> B -> C with a key knob on B.
 func buildPlan(input string, bKnob float64, ran *[]string) *Plan {
-	p := NewPlan("t")
-	p.SetInput(Fingerprint(input))
 	run := func(name string) func(context.Context) error {
 		return func(context.Context) error {
 			if ran != nil {
@@ -84,10 +82,11 @@ func buildPlan(input string, bKnob float64, ran *[]string) *Plan {
 			return nil
 		}
 	}
-	p.MustAdd(Stage{Name: "a", Run: run("a")})
-	p.MustAdd(Stage{Name: "b", After: []string{"a"}, Key: func(h *Hasher) { h.F64(bKnob) }, Run: run("b")})
-	p.MustAdd(Stage{Name: "c", After: []string{"b"}, Run: run("c")})
-	return p
+	return &Plan{Name: "t", Input: Fingerprint(input), Stages: []Stage{
+		{Name: "a", Run: run("a")},
+		{Name: "b", Key: func(h *Hasher) { h.F64(bKnob) }, Run: run("b")},
+		{Name: "c", Run: run("c")},
+	}}
 }
 
 func TestPlanFingerprintStability(t *testing.T) {
@@ -116,29 +115,6 @@ func TestPlanFingerprintPinned(t *testing.T) {
 	}
 }
 
-func TestPlanAddValidation(t *testing.T) {
-	p := NewPlan("v")
-	noop := func(context.Context) error { return nil }
-	if err := p.Add(Stage{Name: "", Run: noop}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := p.Add(Stage{Name: "x"}); err == nil {
-		t.Error("nil Run accepted")
-	}
-	if err := p.Add(Stage{Name: "x", After: []string{"ghost"}, Run: noop}); err == nil {
-		t.Error("unregistered dependency accepted")
-	}
-	if err := p.Add(Stage{Name: "x", Run: noop}); err != nil {
-		t.Errorf("valid stage rejected: %v", err)
-	}
-	if err := p.Add(Stage{Name: "x", Run: noop}); err == nil {
-		t.Error("duplicate name accepted")
-	}
-	if got := p.Stages(); len(got) != 1 || got[0] != "x" {
-		t.Errorf("Stages() = %v, want [x]", got)
-	}
-}
-
 func TestExecutorRunsStagesInOrder(t *testing.T) {
 	var ran []string
 	p := buildPlan("in", 0, &ran)
@@ -153,10 +129,11 @@ func TestExecutorRunsStagesInOrder(t *testing.T) {
 
 func TestExecutorStageError(t *testing.T) {
 	boom := errors.New("boom")
-	p := NewPlan("e")
-	p.MustAdd(Stage{Name: "a", Run: func(context.Context) error { return boom }})
 	ran := false
-	p.MustAdd(Stage{Name: "b", After: []string{"a"}, Run: func(context.Context) error { ran = true; return nil }})
+	p := &Plan{Name: "e", Stages: []Stage{
+		{Name: "a", Run: func(context.Context) error { return boom }},
+		{Name: "b", Run: func(context.Context) error { ran = true; return nil }},
+	}}
 	var ex Executor
 	if err := ex.Run(context.Background(), p, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -192,7 +169,7 @@ func TestExecutorCacheHitSkipsStages(t *testing.T) {
 	var ran []string
 	art := &testArtifact{Vals: []int{0}}
 	p := buildPlan("in", 0, &ran)
-	p.stages[0].Run = func(context.Context) error { ran = append(ran, "a"); art.Vals[0] = 42; return nil }
+	p.Stages[0].Run = func(context.Context) error { ran = append(ran, "a"); art.Vals[0] = 42; return nil }
 	ex := Executor{Cache: cache}
 	if err := ex.Run(context.Background(), p, spec(art)); err != nil {
 		t.Fatal(err)
@@ -204,7 +181,7 @@ func TestExecutorCacheHitSkipsStages(t *testing.T) {
 	ran = nil
 	art2 := &testArtifact{Vals: []int{0}}
 	p2 := buildPlan("in", 0, &ran)
-	p2.stages[0].Run = func(context.Context) error { ran = append(ran, "a"); art2.Vals[0] = 42; return nil }
+	p2.Stages[0].Run = func(context.Context) error { ran = append(ran, "a"); art2.Vals[0] = 42; return nil }
 	if err := ex.Run(context.Background(), p2, spec(art2)); err != nil {
 		t.Fatal(err)
 	}

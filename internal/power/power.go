@@ -123,12 +123,3 @@ func Analyze(b *netlist.Block, scale tech.ScaleModel) Report {
 	r.ClockMW *= m
 	return r
 }
-
-// NetPowerFraction returns net power over total power, the paper's §4.1
-// folding criterion #2.
-func NetPowerFraction(r Report) float64 {
-	if r.TotalMW == 0 {
-		return 0
-	}
-	return r.NetMW / r.TotalMW
-}

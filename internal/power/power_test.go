@@ -133,18 +133,6 @@ func TestActivityDefaults(t *testing.T) {
 	}
 }
 
-func TestNetPowerFraction(t *testing.T) {
-	b, _, sm := powerBlock(t)
-	r := Analyze(b, sm)
-	f := NetPowerFraction(r)
-	if f <= 0 || f >= 1 {
-		t.Errorf("net power fraction = %v", f)
-	}
-	if NetPowerFraction(Report{}) != 0 {
-		t.Error("zero report must give zero fraction")
-	}
-}
-
 func TestReportAdd(t *testing.T) {
 	a := Report{TotalMW: 1, CellMW: 0.5, NetMW: 0.3, WireMW: 0.2, PinMW: 0.1, LeakageMW: 0.2, ClockMW: 0.05}
 	b := a

@@ -1,6 +1,6 @@
 // Package rng provides a small deterministic pseudo-random number generator
-// used by every stochastic algorithm in fold3d (netlist generation, simulated
-// annealing, FM tie-breaking). Using one splittable generator keeps every
+// used by every stochastic algorithm in fold3d (netlist generation,
+// placement, folding, FM tie-breaking). Using one splittable generator keeps every
 // experiment bit-reproducible across runs and platforms, which the experiment
 // harness relies on when comparing design styles.
 package rng
@@ -100,24 +100,3 @@ func (r *R) Shuffle(n int, swap func(i, j int)) {
 
 // Bool returns true with probability p.
 func (r *R) Bool(p float64) bool { return r.Float64() < p }
-
-// Zipf returns an integer in [0, n) drawn from a truncated Zipf-like
-// distribution with exponent s; small indices are much more likely. It is
-// used to produce realistic net fanout distributions.
-func (r *R) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// Inverse-CDF on the continuous approximation.
-	u := r.Float64()
-	x := math.Pow(float64(n), 1-s)
-	v := math.Pow(u*(x-1)+1, 1/(1-s))
-	k := int(v) - 1
-	if k < 0 {
-		k = 0
-	}
-	if k >= n {
-		k = n - 1
-	}
-	return k
-}

@@ -155,22 +155,3 @@ func TestBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) frequency = %v", frac)
 	}
 }
-
-func TestZipfBoundsAndSkew(t *testing.T) {
-	r := New(10)
-	const n = 10000
-	counts := make([]int, 20)
-	for i := 0; i < n; i++ {
-		v := r.Zipf(20, 1.5)
-		if v < 0 || v >= 20 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[10] {
-		t.Errorf("Zipf not skewed: counts[0]=%d counts[10]=%d", counts[0], counts[10])
-	}
-	if r.Zipf(1, 1.5) != 0 {
-		t.Error("Zipf(1) must be 0")
-	}
-}

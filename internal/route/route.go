@@ -75,9 +75,6 @@ func NewGrid(region geom.Rect, opt Options) (*Grid, error) {
 	return g, nil
 }
 
-// Dims returns the gcell grid dimensions.
-func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
-
 // cellAt maps a point to gcell coordinates, clamped.
 func (g *Grid) cellAt(p geom.Point) (int, int) {
 	x := int((p.X - g.region.Lo.X) / g.opt.GCell)

@@ -14,9 +14,8 @@ func TestGridConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nx, ny := g.Dims()
-	if nx != 10 || ny != 5 {
-		t.Errorf("dims = %d x %d", nx, ny)
+	if g.nx != 10 || g.ny != 5 {
+		t.Errorf("dims = %d x %d", g.nx, g.ny)
 	}
 	if _, err := NewGrid(geom.Rect{}, DefaultOptions()); err == nil {
 		t.Error("expected error for empty region")

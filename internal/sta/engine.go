@@ -220,9 +220,9 @@ func grownDirty[T int32 | float64 | bool](s []T, n int) []T {
 	return s[:n]
 }
 
-// totalLoad mirrors the package-level helper, reading cell sink caps from
-// the engine's flat pin-cap mirror instead of chasing the master pointer.
-// Same accumulation, term for term and in the same order.
+// totalLoad returns the wire cap and summed sink pin cap of n, reading cell
+// sink caps from the flat pin-cap mirror instead of chasing the master
+// pointer.
 func (e *Engine) totalLoad(n *netlist.Net) (wirefF, pinfF float64) {
 	wirefF = n.WireCapfF
 	for _, s := range n.Sinks {
@@ -235,8 +235,10 @@ func (e *Engine) totalLoad(n *netlist.Net) (wirefF, pinfF float64) {
 	return wirefF, pinfF
 }
 
-// wireDelay mirrors the package-level helper via the flat pin-cap mirror;
-// identical arithmetic.
+// wireDelay returns the Elmore delay in ps from net n's driver to sink s:
+// Rdrive couples through the cell delay, so this is the pure interconnect
+// term Rwire*(Cwire/2 + Cpin(s)), with cell pin caps read from the flat
+// mirror.
 func (e *Engine) wireDelay(n *netlist.Net, s netlist.PinRef) float64 {
 	var pc float64
 	if s.Kind == netlist.KindCell {

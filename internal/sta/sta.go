@@ -68,20 +68,3 @@ func noRequired(r float64) bool {
 func Analyze(b *netlist.Block, uncertaintyPS float64) (*Report, error) {
 	return NewEngine(b).Analyze(uncertaintyPS)
 }
-
-// wireDelay returns the Elmore delay in ps from net n's driver to sink s:
-// Rdrive couples through the cell delay, so this is the pure interconnect
-// term Rwire*(Cwire/2 + Cpin(s)).
-func wireDelay(b *netlist.Block, n *netlist.Net, s netlist.PinRef) float64 {
-	return n.WireResOhm * (n.WireCapfF/2 + b.PinCap(s)) * 1e-3
-}
-
-// totalLoad mirrors extract.TotalLoad without importing it (avoiding a
-// dependency cycle): wire cap and summed sink pin cap of n.
-func totalLoad(b *netlist.Block, n *netlist.Net) (wirefF, pinfF float64) {
-	wirefF = n.WireCapfF
-	for _, s := range n.Sinks {
-		pinfF += b.PinCap(s)
-	}
-	return wirefF, pinfF
-}

@@ -186,24 +186,3 @@ func TestCellSlackOrdering(t *testing.T) {
 		t.Errorf("net slack %v != WNS %v", rep.NetSlack[1], rep.WNS)
 	}
 }
-
-func TestCriticalPathWalk(t *testing.T) {
-	b, _ := pipeline(t)
-	rep, err := Analyze(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := CriticalPath(b, rep)
-	if len(stages) < 3 {
-		t.Fatalf("path too short: %d stages", len(stages))
-	}
-	// Arrivals must be non-decreasing along the reported path.
-	for i := 1; i < len(stages); i++ {
-		if stages[i].Arrival < stages[i-1].Arrival {
-			t.Errorf("arrival decreased along the path at stage %d", i)
-		}
-	}
-	if FormatPath(stages) == "" {
-		t.Error("empty path report")
-	}
-}

@@ -149,9 +149,6 @@ func (f Family) String() string {
 // IsSequential reports whether the family is a register.
 func (f Family) IsSequential() bool { return f == DFF }
 
-// IsBuffer reports whether the family is a repeater usable by the optimizer.
-func (f Family) IsBuffer() bool { return f == BUF || f == INV }
-
 // NumInputs returns the number of signal input pins of the family
 // (for DFF this is the D pin; the clock pin is accounted separately).
 func (f Family) NumInputs() int {
@@ -310,9 +307,6 @@ func (l *Library) ByName(name string) (*Cell, error) {
 	}
 	return c, nil
 }
-
-// NumCells returns the number of characterized masters.
-func (l *Library) NumCells() int { return len(l.cells) }
 
 // Resize returns the master identical to c but with the given drive.
 func (l *Library) Resize(c *Cell, drive int) (*Cell, error) {
@@ -488,10 +482,6 @@ func (c ClockDomain) FreqMHz() float64 {
 	}
 	return 500
 }
-
-// SwitchEnergyFJ returns the dynamic energy in fJ of charging cap fF through
-// a full Vdd swing: E = C * Vdd^2 (fF x V^2 = fJ).
-func SwitchEnergyFJ(capfF float64) float64 { return capfF * Vdd * Vdd }
 
 // DynamicPowerMW converts switched capacitance to average power:
 // P = 0.5 * alpha * C * Vdd^2 * f. cap in fF, f in MHz, result in mW:

@@ -222,19 +222,6 @@ func computeDiag(lv *level, dies int) {
 	}
 }
 
-// ambRHS is the ambient boundary contribution to row (d,i) of level 0.
-func (e *Engine) ambRHS(d, i int) float64 {
-	lv := e.levels[0]
-	var a float64
-	if d == e.dies-1 {
-		a += lv.gSink[i] * e.p.AmbientC
-	}
-	if d == 0 {
-		a += lv.gBoard[i] * e.p.AmbientC
-	}
-	return a
-}
-
 // markDirty grows the dirty window to include tile (ix,iy).
 func (e *Engine) markDirty(ix, iy int) {
 	if !e.dirty {

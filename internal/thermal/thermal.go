@@ -189,15 +189,3 @@ type ChipPowerTile struct {
 	// PowerMW is the block's total power at report magnitude.
 	PowerMW float64
 }
-
-// AnalyzeChip solves the chip-level temperature field from per-block power
-// totals spread uniformly over each block's floorplan rectangle. outline is
-// the chip outline (drawn µm); dies is 1 or 2; tsvs is the physical TSV
-// population (vertical thermal paths under F2B).
-func AnalyzeChip(outline geom.Rect, tiles []ChipPowerTile, dies int, bond extract.Bonding, tsvs int, sm tech.ScaleModel, p Params) (*Result, error) {
-	e := NewEngine()
-	if _, err := e.LoadChip(outline, tiles, dies, bond, tsvs, sm, p); err != nil {
-		return nil, err
-	}
-	return e.Solve()
-}

@@ -145,7 +145,11 @@ func TestAnalyzeChip(t *testing.T) {
 		{Rect: geom.RectWH(200, 200, 120, 120), Die: netlist.DieTop, PowerMW: 8000},
 		{Rect: geom.RectWH(200, 20, 80, 80), Both: true, PowerMW: 4000},
 	}
-	r, err := AnalyzeChip(outline, tiles, 2, extract.F2B, 3000, sm, DefaultParams())
+	e := NewEngine()
+	if _, err := e.LoadChip(outline, tiles, 2, extract.F2B, 3000, sm, DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestAnalyzeChip(t *testing.T) {
 	if r.Dies != 2 {
 		t.Errorf("dies = %d", r.Dies)
 	}
-	if _, err := AnalyzeChip(geom.Rect{}, tiles, 2, extract.F2B, 0, sm, DefaultParams()); err == nil {
+	if _, err := NewEngine().LoadChip(geom.Rect{}, tiles, 2, extract.F2B, 0, sm, DefaultParams()); err == nil {
 		t.Error("expected error for empty outline")
 	}
 }
