@@ -27,9 +27,9 @@ type implState struct {
 	aspect float64
 
 	// Cross-stage engine state, created by the owning stage and consumed
-	// only by the stages after it in the plan. placer is
-	// whichever registered backend the flow's Cfg.Placer resolved to; the
-	// downstream stages only ever re-legalize through it.
+	// only by the stages after it in the plan. placer is whichever
+	// registered backend the flow's Cfg.Placer resolved to; the downstream
+	// stages only ever re-legalize through it.
 	placer  place.Backend
 	o       *opt.Optimizer
 	ctsRes  *cts.Result

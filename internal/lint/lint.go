@@ -187,9 +187,10 @@ type Timing struct {
 
 // RunTimed executes checks over pkgs, filters findings through
 // //lint:ignore directives, and returns the remainder sorted by position,
-// plus per-check cumulative timings (sorted slowest first). Every (package, check) pair runs as an independent pool task
-// writing into its own slot; the merge walks slots in index order, so the
-// output is identical to a sequential run regardless of scheduling.
+// plus per-check cumulative timings (sorted slowest first). Every
+// (package, check) pair runs as an independent pool task writing into its
+// own slot; the merge walks slots in index order, so the output is
+// identical to a sequential run regardless of scheduling.
 func RunTimed(cfg *Config, pkgs []*Package, checks []*Check) ([]Finding, []Timing) {
 	nc := len(checks)
 	type cell struct {

@@ -61,10 +61,10 @@ func noRequired(r float64) bool {
 
 // Analyze runs STA on b. The clock period comes from the block's domain; a
 // CTS-computed skew can be passed as uncertainty (subtracted from every
-// endpoint's required time). It is a one-shot convenience over Engine: a
-// fresh engine's full build, discarded afterwards. Loops that analyze the
-// same block repeatedly should hold a NewEngine and mark dirty sets
-// instead; both paths produce bit-identical reports.
+// endpoint's required time). It is a fresh engine's full build, discarded
+// afterwards: the reference that tests compare a long-lived, incrementally
+// updated Engine against. Production code holds a NewEngine and marks dirty
+// sets instead; both paths produce bit-identical reports.
 func Analyze(b *netlist.Block, uncertaintyPS float64) (*Report, error) {
 	return NewEngine(b).Analyze(uncertaintyPS)
 }
