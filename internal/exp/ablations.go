@@ -26,39 +26,34 @@ type MacroModeResult struct {
 
 // AblationMacroMode places the macro-dominated L2D with both macro policies.
 func AblationMacroMode(ctx context.Context, cfg Config) (*MacroModeResult, error) {
-	res := &MacroModeResult{Block: "L2D0"}
-	for _, mode := range []place.MacroMode{place.MacroHoles, place.MacroDemand} {
-		d, _, err := blockWithPorts(cfg, "L2D0")
-		if err != nil {
-			return nil, err
-		}
-		fcfg := cfg.flowCfg()
-		fcfg.Place.Macro = mode
-		fl := flow.New(d, fcfg)
-		b := d.Blocks["L2D0"].Clone()
-		r, err := fl.ImplementBlockContext(ctx, b, d.Specs["L2D0"].Aspect)
-		if err != nil {
-			return nil, fmt.Errorf("exp: macro mode %d: %v", mode, err)
-		}
-		// The placer is internal to the flow; re-legalize to measure the
-		// displacement a fresh legalization would need from the global
-		// positions (proxy for halo pressure).
-		p := place.New(fcfg.Place)
-		if err := p.LegalizeAll(b); err != nil {
-			return nil, err
-		}
-		disp := p.LastLegal().TotalDisp
-		if mode == place.MacroHoles {
-			res.HoleDispUm = disp
-			res.HoleWLUm = r.Stats.Wirelength
-			res.HolePowerMW = r.Power.TotalMW
-		} else {
-			res.DemandDispUm = disp
-			res.DemandWLUm = r.Stats.Wirelength
-			res.DemandPower = r.Power.TotalMW
-		}
+	modes := []place.MacroMode{place.MacroHoles, place.MacroDemand}
+	runs := make([]blockRun, len(modes))
+	for i, mode := range modes {
+		runs[i].edit = func(fc *flow.Config) { fc.Place.Macro = mode }
 	}
-	return res, nil
+	rs, err := implementBlock(ctx, cfg, "L2D0", runs...)
+	if err != nil {
+		return nil, err
+	}
+	// The placer is internal to the flow; re-legalize to measure the
+	// displacement a fresh legalization would need from the global
+	// positions (proxy for halo pressure).
+	disp := make([]float64, len(modes))
+	for i, mode := range modes {
+		opts := cfg.flowCfg().Place
+		opts.Macro = mode
+		p := place.New(opts)
+		if err := p.LegalizeAll(rs[i].Block); err != nil {
+			return nil, err
+		}
+		disp[i] = p.LastLegal().TotalDisp
+	}
+	return &MacroModeResult{
+		Block:      "L2D0",
+		HoleDispUm: disp[0], DemandDispUm: disp[1],
+		HoleWLUm: rs[0].Stats.Wirelength, DemandWLUm: rs[1].Stats.Wirelength,
+		HolePowerMW: rs[0].Power.TotalMW, DemandPower: rs[1].Power.TotalMW,
+	}, nil
 }
 
 // String renders the macro-handling ablation report.
@@ -137,25 +132,19 @@ type DualVthRow struct {
 func AblationDualVth(ctx context.Context, cfg Config) (*DualVthResult, error) {
 	res := &DualVthResult{}
 	for _, st := range []t2.Style{t2.Style2D, t2.StyleFoldF2F} {
-		row := DualVthRow{Style: st}
-		for _, hvt := range []bool{false, true} {
-			d, err := t2.Generate(cfg.t2cfg())
-			if err != nil {
-				return nil, err
-			}
-			fcfg := cfg.flowCfg()
-			fcfg.UseHVT = hvt
-			fl := flow.New(d, fcfg)
-			r, err := fl.BuildChipContext(ctx, st)
-			if err != nil {
-				return nil, fmt.Errorf("exp: dualvth %s: %v", st, err)
-			}
-			if hvt {
-				row.DVTPowerW = r.Power.TotalMW / 1e3
-				row.HVTPct = 100 * float64(r.Stats.NumHVT) / float64(r.Stats.NumCells)
-			} else {
-				row.RVTPowerW = r.Power.TotalMW / 1e3
-			}
+		rvt, err := buildChip(ctx, cfg, st, nil)
+		if err != nil {
+			return nil, err
+		}
+		dvt, err := buildChip(ctx, cfg, st, func(fc *flow.Config) { fc.UseHVT = true })
+		if err != nil {
+			return nil, err
+		}
+		row := DualVthRow{
+			Style:     st,
+			RVTPowerW: rvt.Power.TotalMW / 1e3,
+			DVTPowerW: dvt.Power.TotalMW / 1e3,
+			HVTPct:    100 * float64(dvt.Stats.NumHVT) / float64(dvt.Stats.NumCells),
 		}
 		row.SavingPct = pct(row.DVTPowerW, row.RVTPowerW)
 		res.Rows = append(res.Rows, row)
@@ -188,26 +177,24 @@ type TSVCouplingResult struct {
 // measures the extra power once each wire near a TSV body pays its sidewall
 // coupling.
 func AblationTSVCoupling(ctx context.Context, cfg Config) (*TSVCouplingResult, error) {
-	res := &TSVCouplingResult{Block: "L2T0"}
-	for i, coupling := range []bool{false, true} {
-		d, _, err := blockWithPorts(cfg, "L2T0")
-		if err != nil {
-			return nil, err
-		}
-		fcfg := cfg.flowCfg()
-		fcfg.Bond = extract.F2B
-		fcfg.TSVCoupling = coupling
-		fl := flow.New(d, fcfg)
-		b := d.Blocks["L2T0"].Clone()
-		fo := core.DefaultFoldOptions()
-		fo.Seed = cfg.Seed + 31
-		fo.InflateCutTo = 60
-		r, _, err := fl.FoldAndImplementContext(ctx, b, fo, d.Specs["L2T0"].Aspect)
-		if err != nil {
-			return nil, err
-		}
-		res.PowerMW[i] = r.Power.TotalMW
-		res.TSVs = b.NumTSV
+	fo := core.DefaultFoldOptions()
+	fo.Seed = cfg.Seed + 31
+	fo.InflateCutTo = 60
+	var runs []blockRun
+	for _, coupling := range []bool{false, true} {
+		runs = append(runs, blockRun{fold: &fo, edit: func(fc *flow.Config) {
+			fc.Bond = extract.F2B
+			fc.TSVCoupling = coupling
+		}})
+	}
+	rs, err := implementBlock(ctx, cfg, "L2T0", runs...)
+	if err != nil {
+		return nil, err
+	}
+	res := &TSVCouplingResult{
+		Block:   "L2T0",
+		PowerMW: [2]float64{rs[0].Power.TotalMW, rs[1].Power.TotalMW},
+		TSVs:    rs[1].Block.NumTSV,
 	}
 	res.PowerPct = pct(res.PowerMW[1], res.PowerMW[0])
 	return res, nil
@@ -232,31 +219,21 @@ type RSMTResult struct {
 
 // AblationRSMT implements the L2T both ways and reports the estimator gap.
 func AblationRSMT(ctx context.Context, cfg Config) (*RSMTResult, error) {
-	res := &RSMTResult{Block: "L2T0"}
-	for _, rsmt := range []bool{false, true} {
-		d, _, err := blockWithPorts(cfg, "L2T0")
-		if err != nil {
-			return nil, err
-		}
-		fcfg := cfg.flowCfg()
-		fcfg.UseRSMT = rsmt
-		fl := flow.New(d, fcfg)
-		b := d.Blocks["L2T0"].Clone()
-		r, err := fl.ImplementBlockContext(ctx, b, d.Specs["L2T0"].Aspect)
-		if err != nil {
-			return nil, err
-		}
-		if rsmt {
-			res.RSMTWLUm = r.Stats.Wirelength
-			res.RSMTPower = r.Power.TotalMW
-		} else {
-			res.StatWLUm = r.Stats.Wirelength
-			res.StatPowerMW = r.Power.TotalMW
-		}
+	rs, err := implementBlock(ctx, cfg, "L2T0", blockRun{},
+		blockRun{edit: func(fc *flow.Config) { fc.UseRSMT = true }})
+	if err != nil {
+		return nil, err
 	}
-	res.WirelenPct = pct(res.RSMTWLUm, res.StatWLUm)
-	res.PowerPct = pct(res.RSMTPower, res.StatPowerMW)
-	return res, nil
+	stat, rsmt := rs[0], rs[1]
+	return &RSMTResult{
+		Block:       "L2T0",
+		StatWLUm:    stat.Stats.Wirelength,
+		RSMTWLUm:    rsmt.Stats.Wirelength,
+		WirelenPct:  pct(rsmt.Stats.Wirelength, stat.Stats.Wirelength),
+		PowerPct:    pct(rsmt.Power.TotalMW, stat.Power.TotalMW),
+		StatPowerMW: stat.Power.TotalMW,
+		RSMTPower:   rsmt.Power.TotalMW,
+	}, nil
 }
 
 // String renders the Steiner-tree extraction ablation report.

@@ -118,9 +118,6 @@ func ValidateNames(names []string) error {
 func (c Config) flowCfg() flow.Config {
 	fc := flow.DefaultConfig()
 	fc.Placer = c.Placer
-	if fc.Placer == "" {
-		fc.Placer = place.DefaultBackend
-	}
 	fc.Workers = c.Workers
 	fc.Progress = c.Progress
 	fc.Cache = c.Cache
@@ -128,9 +125,11 @@ func (c Config) flowCfg() flow.Config {
 	return fc
 }
 
+// t2cfg returns the netlist-generator configuration; a zero Scale selects
+// the default scale and the Seed always passes through.
 func (c Config) t2cfg(only ...string) t2.Config {
 	if c.Scale == 0 {
-		c = DefaultConfig()
+		c.Scale = DefaultConfig().Scale
 	}
 	return t2.Config{Scale: c.Scale, Seed: c.Seed, Only: only}
 }
@@ -147,10 +146,10 @@ func pct(a, b float64) float64 {
 // ports using the 2D floorplan geometry (virtual partners for absent
 // blocks), so standalone block experiments see the same boundary pulls as
 // the full chip — the effect behind the paper's fragmented 2D CCX (§4.3).
-func blockWithPorts(cfg Config, names ...string) (*t2.Design, *flow.Flow, error) {
+func blockWithPorts(cfg Config, names ...string) (*t2.Design, error) {
 	d, err := t2.Generate(cfg.t2cfg(names...))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fl := flow.New(d, cfg.flowCfg())
 	shapes := make(map[string]floorplan.Shape, len(d.Specs))
@@ -160,16 +159,84 @@ func blockWithPorts(cfg Config, names ...string) (*t2.Design, *flow.Flow, error)
 	}
 	fp, err := floorplan.RowPlan(shapes, t2.Rows(t2.Style2D), 4)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	chipNets, err := floorplan.AssignPorts(d.Blocks, fp, d.DrawnBundles())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := d.ConnectPorts(chipNets); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d, fl, nil
+	return d, nil
+}
+
+// blockRun is one implementation of an experiment's block: edit, when
+// non-nil, adjusts the experiment's flow configuration, and fold, when
+// non-nil, folds the block under those options before implementing it.
+type blockRun struct {
+	edit func(*flow.Config)
+	fold *core.FoldOptions
+}
+
+// blockOut is the outcome of one blockRun; Block is the implemented clone
+// and Fold is nil for an unfolded run.
+type blockOut struct {
+	*flow.BlockResult
+	Fold *core.FoldResult
+}
+
+// bonded is the blockRun edit that selects a bonding style.
+func bonded(bond extract.Bonding) func(*flow.Config) {
+	return func(fc *flow.Config) { fc.Bond = bond }
+}
+
+// implementBlock is the block shape of the evaluation: it generates the
+// named block with its chip-level ports once and implements a fresh clone
+// of it per run, in order.
+func implementBlock(ctx context.Context, cfg Config, name string, runs ...blockRun) ([]blockOut, error) {
+	d, err := blockWithPorts(cfg, name)
+	if err != nil {
+		return nil, err
+	}
+	aspect := d.Specs[name].Aspect
+	out := make([]blockOut, len(runs))
+	for i, run := range runs {
+		fc := cfg.flowCfg()
+		if run.edit != nil {
+			run.edit(&fc)
+		}
+		fl := flow.New(d, fc)
+		b := d.Blocks[name].Clone()
+		if run.fold == nil {
+			out[i].BlockResult, err = fl.ImplementBlockContext(ctx, b, aspect)
+		} else {
+			out[i].BlockResult, out[i].Fold, err = fl.FoldAndImplementContext(ctx, b, *run.fold, aspect)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s: %w", name, err)
+		}
+	}
+	return out, nil
+}
+
+// buildChip is the chip shape of the evaluation: it generates a fresh full
+// design, applies edit (when non-nil) to the experiment's flow
+// configuration and builds the chip in style st.
+func buildChip(ctx context.Context, cfg Config, st t2.Style, edit func(*flow.Config)) (*flow.ChipResult, error) {
+	d, err := t2.Generate(cfg.t2cfg())
+	if err != nil {
+		return nil, err
+	}
+	fc := cfg.flowCfg()
+	if edit != nil {
+		edit(&fc)
+	}
+	r, err := flow.New(d, fc).BuildChipContext(ctx, st)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", st, err)
+	}
+	return r, nil
 }
 
 // Row is one generic metric row of a comparison table.
@@ -264,9 +331,18 @@ func Table1() *Table {
 	return t
 }
 
-// chipTable converts chip results into a paper-style comparison table.
-func chipTable(title string, cols []string, rs []*flow.ChipResult) *Table {
-	t := &Table{Title: title, Columns: cols}
+// chipTable builds one chip per style (dual-Vth when hvt) and tabulates
+// them in a paper-style comparison table.
+func chipTable(ctx context.Context, cfg Config, styles []t2.Style, hvt bool, title string, cols []string, note string) (*Table, error) {
+	rs := make([]*flow.ChipResult, 0, len(styles))
+	for _, st := range styles {
+		r, err := buildChip(ctx, cfg, st, func(fc *flow.Config) { fc.UseHVT = hvt })
+		if err != nil {
+			return nil, err
+		}
+		rs = append(rs, r)
+	}
+	t := &Table{Title: title, Columns: cols, Notes: []string{note}}
 	vals := func(f func(*flow.ChipResult) float64) []float64 {
 		out := make([]float64, len(rs))
 		for i, r := range rs {
@@ -289,30 +365,16 @@ func chipTable(title string, cols []string, rs []*flow.ChipResult) *Table {
 		return 100 * float64(r.Stats.NumHVT) / float64(r.Stats.NumCells)
 	})...)
 	t.Add("3D vias (paper-eq)", "", vals(func(r *flow.ChipResult) float64 { return float64(r.Stats.ViasPaperEquiv) })...)
-	return t
+	return t, nil
 }
 
 // Table2 reproduces the 2D vs 3D block-level comparison (paper Table 2):
 // all three full-chip styles at 500MHz with the RVT-only library.
 func Table2(ctx context.Context, cfg Config) (*Table, error) {
-	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore}
-	var rs []*flow.ChipResult
-	for _, st := range styles {
-		d, err := t2.Generate(cfg.t2cfg())
-		if err != nil {
-			return nil, err
-		}
-		fl := flow.New(d, cfg.flowCfg())
-		r, err := fl.BuildChipContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("exp: table2 %s: %v", st, err)
-		}
-		rs = append(rs, r)
-	}
-	t := chipTable("Table 2: 2D vs 3D block-level designs (RVT, 500MHz)",
-		[]string{"2D", "core/cache", "core/core"}, rs)
-	t.Notes = append(t.Notes, "paper: footprint -46.0%, buffers -16.3/-15.2%, WL -5.0/-5.4%, power -10.3/-9.1%")
-	return t, nil
+	return chipTable(ctx, cfg, []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore}, false,
+		"Table 2: 2D vs 3D block-level designs (RVT, 500MHz)",
+		[]string{"2D", "core/cache", "core/core"},
+		"paper: footprint -46.0%, buffers -16.3/-15.2%, WL -5.0/-5.4%, power -10.3/-9.1%")
 }
 
 // Table3Row is one block profile of the folding-candidate table.
@@ -330,12 +392,7 @@ type Table3Row struct {
 // Table3 reproduces the folding-candidate selection profile (paper Table 3)
 // from the implemented 2D design, and runs the §4.1 criteria over it.
 func Table3(ctx context.Context, cfg Config) ([]Table3Row, string, error) {
-	d, err := t2.Generate(cfg.t2cfg())
-	if err != nil {
-		return nil, "", err
-	}
-	fl := flow.New(d, cfg.flowCfg())
-	r, err := fl.BuildChipContext(ctx, t2.Style2D)
+	r, err := buildChip(ctx, cfg, t2.Style2D, nil)
 	if err != nil {
 		return nil, "", err
 	}
@@ -369,7 +426,7 @@ func Table3(ctx context.Context, cfg Config) ([]Table3Row, string, error) {
 		ty := typeOf(name)
 		a := byType[ty]
 		if a == nil {
-			a = &acc{clock: d.Specs[name].Clock}
+			a = &acc{clock: br.Block.Clock}
 			byType[ty] = a
 		}
 		a.total += br.Power.TotalMW
@@ -455,28 +512,11 @@ func (fc *FoldCompare) String() string {
 // foldBlock implements one block 2D and folded under the given bond/options
 // and returns the comparison.
 func foldBlock(ctx context.Context, cfg Config, name string, bond extract.Bonding, fo core.FoldOptions) (*FoldCompare, error) {
-	d, fl, err := blockWithPorts(cfg, name)
+	rs, err := implementBlock(ctx, cfg, name, blockRun{}, blockRun{edit: bonded(bond), fold: &fo})
 	if err != nil {
 		return nil, err
 	}
-	b := d.Blocks[name]
-	aspect := d.Specs[name].Aspect
-
-	b2 := b.Clone()
-	r2, err := fl.ImplementBlockContext(ctx, b2, aspect)
-	if err != nil {
-		return nil, fmt.Errorf("exp: 2D %s: %v", name, err)
-	}
-
-	fcfg := cfg.flowCfg()
-	fcfg.Bond = bond
-	fl3 := flow.New(d, fcfg)
-	b3 := b.Clone()
-	r3, fr, err := fl3.FoldAndImplementContext(ctx, b3, fo, aspect)
-	if err != nil {
-		return nil, fmt.Errorf("exp: folding %s: %v", name, err)
-	}
-	fc := &FoldCompare{Block: name, Bond: bond, R2D: r2, R3D: r3, Fold: fr}
+	fc := &FoldCompare{Block: name, Bond: bond, R2D: rs[0].BlockResult, R3D: rs[1].BlockResult, Fold: rs[1].Fold}
 	fc.fill()
 	return fc, nil
 }
@@ -499,25 +539,8 @@ func Table4(ctx context.Context, cfg Config) (*FoldCompare, error) {
 // Table5 reproduces the full-chip dual-Vth comparison (paper Table 5):
 // 2D vs 3D without folding (core/cache, F2B) vs 3D with folding (F2F).
 func Table5(ctx context.Context, cfg Config) (*Table, error) {
-	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleFoldF2F}
-	var rs []*flow.ChipResult
-	for _, st := range styles {
-		d, err := t2.Generate(cfg.t2cfg())
-		if err != nil {
-			return nil, err
-		}
-		fcfg := cfg.flowCfg()
-		fcfg.UseHVT = true
-		fl := flow.New(d, fcfg)
-		r, err := fl.BuildChipContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("exp: table5 %s: %v", st, err)
-		}
-		rs = append(rs, r)
-	}
-	t := chipTable("Table 5: full chip with dual-Vth (2D vs 3D w/o folding vs 3D w/ folding)",
-		[]string{"2D", "3D w/o fold", "3D w/ fold"}, rs)
-	t.Notes = append(t.Notes,
+	return chipTable(ctx, cfg, []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleFoldF2F}, true,
+		"Table 5: full chip with dual-Vth (2D vs 3D w/o folding vs 3D w/ folding)",
+		[]string{"2D", "3D w/o fold", "3D w/ fold"},
 		"paper: total power -13.7% (3D w/o fold) and -20.3% (3D w/ fold) vs 2D; HVT 87.8/90.0/94.0%")
-	return t, nil
 }

@@ -49,8 +49,21 @@ func TestTableHelpers(t *testing.T) {
 	}
 }
 
+// TestT2ConfigKeepsSeed pins the generator configuration: a zero Scale
+// selects the default scale only, and the Seed always passes through.
+func TestT2ConfigKeepsSeed(t *testing.T) {
+	got := Config{Seed: 7}.t2cfg("CCX")
+	if got.Scale != DefaultConfig().Scale || got.Seed != 7 {
+		t.Errorf("Config{Seed: 7}.t2cfg() = scale %g seed %d, want scale %g seed 7",
+			got.Scale, got.Seed, DefaultConfig().Scale)
+	}
+	if got := (Config{Scale: 300, Seed: 9}).t2cfg(); got.Scale != 300 || got.Seed != 9 {
+		t.Errorf("Config{Scale: 300, Seed: 9}.t2cfg() = scale %g seed %d", got.Scale, got.Seed)
+	}
+}
+
 func TestBlockWithPortsAttachesPorts(t *testing.T) {
-	d, _, err := blockWithPorts(DefaultConfig(), "CCX")
+	d, err := blockWithPorts(DefaultConfig(), "CCX")
 	if err != nil {
 		t.Fatal(err)
 	}

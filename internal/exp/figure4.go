@@ -8,7 +8,7 @@ import (
 	"fold3d/internal/core"
 	"fold3d/internal/designio"
 	"fold3d/internal/extract"
-	"fold3d/internal/flow"
+	"fold3d/internal/tech"
 )
 
 // Figure4Result exercises the paper's §5.1 file flow (Figure 4): run the 3D
@@ -26,19 +26,13 @@ type Figure4Result struct {
 
 // Figure4 produces the merged two-die design files for a folded L2T.
 func Figure4(ctx context.Context, cfg Config) (*Figure4Result, error) {
-	d, _, err := blockWithPorts(cfg, "L2T0")
+	fo := core.DefaultFoldOptions()
+	fo.Seed = cfg.Seed + 17
+	rs, err := implementBlock(ctx, cfg, "L2T0", blockRun{edit: bonded(extract.F2F), fold: &fo})
 	if err != nil {
 		return nil, err
 	}
-	fcfg := cfg.flowCfg()
-	fcfg.Bond = extract.F2F
-	fl := flow.New(d, fcfg)
-	b := d.Blocks["L2T0"].Clone()
-	fo := core.DefaultFoldOptions()
-	fo.Seed = cfg.Seed + 17
-	if _, _, err := fl.FoldAndImplementContext(ctx, b, fo, d.Specs["L2T0"].Aspect); err != nil {
-		return nil, err
-	}
+	b := rs[0].Block
 
 	res := &Figure4Result{Block: b.Name}
 	var sb strings.Builder
@@ -52,7 +46,7 @@ func Figure4(ctx context.Context, cfg Config) (*Figure4Result, error) {
 	}
 	res.DEF = sb.String()
 	sb.Reset()
-	if err := designio.WriteLEF(&sb, d.Lib, true); err != nil {
+	if err := designio.WriteLEF(&sb, tech.NewLibrary(), true); err != nil {
 		return nil, err
 	}
 	res.LEF = sb.String()
@@ -74,4 +68,12 @@ merged DEF:     %5d bytes (both dies' components in one flat design)
 merged LEF:     %5d bytes (both metal stacks + the F2FVIA cut layer)
 routing netlist: %d 3D nets kept, 2D nets tied to ground`,
 		r.Block, len(r.Verilog), len(r.DEF), len(r.LEF), r.Nets3DCount)
+}
+
+// files records the merged-view design files.
+func (r *Figure4Result) files(res *Result) {
+	res.addFile("fig4-merged.v", r.Verilog)
+	res.addFile("fig4-merged.def", r.DEF)
+	res.addFile("fig4-merged.lef", r.LEF)
+	res.addFile("fig4-nets3d.txt", r.Nets3D)
 }

@@ -3,11 +3,11 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"fold3d/internal/core"
 	"fold3d/internal/extract"
-	"fold3d/internal/flow"
 	"fold3d/internal/layout"
 	"fold3d/internal/netlist"
 	"fold3d/internal/route"
@@ -89,6 +89,12 @@ func (r *Figure2Result) String() string {
 	return sb.String()
 }
 
+// files records the 2D and folded CCX layouts.
+func (r *Figure2Result) files(res *Result) {
+	res.addFile("fig2-ccx-2d.svg", r.SVG2D)
+	res.addFile("fig2-ccx-3d.svg", r.SVG3D)
+}
+
 // Figure3Result is the SPC second-level folding study. The paper's baseline
 // ("a block-level 3D design of the SPC") is the core implemented WITHOUT
 // splitting — the same netlist and constraints as the 2D core — so the
@@ -160,21 +166,13 @@ type Figure5Result struct {
 // midpoint baseline (the ablation the paper's §5.1 motivates: placement-
 // style algorithms are not adequate for F2F vias).
 func Figure5(ctx context.Context, cfg Config) (*Figure5Result, error) {
-	d, _, err := blockWithPorts(cfg, "L2T0")
+	fo := core.DefaultFoldOptions()
+	fo.Seed = cfg.Seed + 17
+	rs, err := implementBlock(ctx, cfg, "L2T0", blockRun{edit: bonded(extract.F2F), fold: &fo})
 	if err != nil {
 		return nil, err
 	}
-	b := d.Blocks["L2T0"]
-	fo := core.DefaultFoldOptions()
-	fo.Seed = cfg.Seed + 17
-
-	fcfg := cfg.flowCfg()
-	fcfg.Bond = extract.F2F
-	fl := flow.New(d, fcfg)
-	b3 := b.Clone()
-	if _, _, err := fl.FoldAndImplementContext(ctx, b3, fo, d.Specs["L2T0"].Aspect); err != nil {
-		return nil, err
-	}
+	b3 := rs[0].Block
 	// Re-run the router on the final placement for its congestion stats.
 	grid, err := route.PlaceF2FVias(b3, route.DefaultOptions())
 	if err != nil {
@@ -207,6 +205,9 @@ approach cannot exploit that F2F vias may sit over cells and macros`,
 		r.Block, r.RoutedVias, r.RoutedMaxPile, r.RoutedOverflow,
 		r.MidpointVias, r.MidpointMaxPile)
 }
+
+// files records the folded L2T layout.
+func (r *Figure5Result) files(res *Result) { res.addFile("fig5-l2t-f2f.svg", r.SVG) }
 
 // Figure6Result compares bonding styles on folded blocks (paper Figure 6):
 // F2F shrinks the footprint further because vias consume no silicon, and on
@@ -270,6 +271,14 @@ func (r *Figure6Result) String() string {
 	return sb.String()
 }
 
+// files records each block's F2B and F2F layouts.
+func (r *Figure6Result) files(res *Result) {
+	for _, row := range r.Rows {
+		res.addFile("fig6-"+row.Block+"-f2b.svg", row.SVGF2B)
+		res.addFile("fig6-"+row.Block+"-f2f.svg", row.SVGF2F)
+	}
+}
+
 // Figure7Point is one partition case of the bonding-style power sweep.
 type Figure7Point struct {
 	Partition int
@@ -292,45 +301,28 @@ type Figure7Result struct {
 // Figure7 implements five L2T partitions with increasing 3D connection
 // counts in both bonding styles and reports power normalized to 2D.
 func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
-	d, fl, err := blockWithPorts(cfg, "L2T0")
-	if err != nil {
-		return nil, err
-	}
-	b := d.Blocks["L2T0"]
-	aspect := d.Specs["L2T0"].Aspect
-	b2 := b.Clone()
-	r2, err := fl.ImplementBlockContext(ctx, b2, aspect)
-	if err != nil {
-		return nil, err
-	}
-	base := r2.Power.TotalMW
-
-	res := &Figure7Result{F2FWinsAll: true}
 	targets := []int{0, 40, 70, 110, 160} // 0 = plain min-cut
-	for i, target := range targets {
+	runs := []blockRun{{}}                // the 2D baseline
+	for _, target := range targets {
 		fo := core.DefaultFoldOptions()
 		fo.Seed = cfg.Seed + 23
 		fo.InflateCutTo = target
-		pt := Figure7Point{Partition: i + 1}
-		for _, bond := range []extract.Bonding{extract.F2B, extract.F2F} {
-			fcfg := cfg.flowCfg()
-			fcfg.Bond = bond
-			fl3 := flow.New(d, fcfg)
-			b3 := b.Clone()
-			r3, _, err := fl3.FoldAndImplementContext(ctx, b3, fo, aspect)
-			if err != nil {
-				return nil, fmt.Errorf("exp: figure7 partition %d %s: %v", i+1, bond, err)
-			}
-			norm := r3.Power.TotalMW / base
-			if bond == extract.F2B {
-				pt.F2BPowerN = norm
-				pt.Vias = r3.Stats.NumTSV
-			} else {
-				pt.F2FPowerN = norm
-				if r3.Stats.NumF2F > pt.Vias {
-					pt.Vias = r3.Stats.NumF2F
-				}
-			}
+		runs = append(runs, blockRun{edit: bonded(extract.F2B), fold: &fo}, blockRun{edit: bonded(extract.F2F), fold: &fo})
+	}
+	rs, err := implementBlock(ctx, cfg, "L2T0", runs...)
+	if err != nil {
+		return nil, err
+	}
+	base := rs[0].Power.TotalMW
+
+	res := &Figure7Result{F2FWinsAll: true}
+	for i := range targets {
+		f2b, f2f := rs[1+2*i], rs[2+2*i]
+		pt := Figure7Point{
+			Partition: i + 1,
+			Vias:      max(f2b.Stats.NumTSV, f2f.Stats.NumF2F),
+			F2BPowerN: f2b.Power.TotalMW / base,
+			F2FPowerN: f2f.Power.TotalMW / base,
 		}
 		if pt.F2FPowerN > pt.F2BPowerN {
 			res.F2FWinsAll = false
@@ -370,14 +362,9 @@ type Figure8Result struct {
 func Figure8(ctx context.Context, cfg Config) (*Figure8Result, error) {
 	res := &Figure8Result{SVGs: map[string]string{}}
 	for _, st := range []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore, t2.StyleFoldF2B, t2.StyleFoldF2F} {
-		d, err := t2.Generate(cfg.t2cfg())
+		r, err := buildChip(ctx, cfg, st, nil)
 		if err != nil {
 			return nil, err
-		}
-		fl := flow.New(d, cfg.flowCfg())
-		r, err := fl.BuildChipContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("exp: figure8 %s: %w", st, err)
 		}
 		res.Styles = append(res.Styles, st)
 		res.Summaries = append(res.Summaries, fmt.Sprintf("%s: %s; %.1f mm2, %d inter-TSVs, %d intra vias (paper-eq %d)",
@@ -399,4 +386,16 @@ func (r *Figure8Result) String() string {
 		sb.WriteString(s + "\n")
 	}
 	return sb.String()
+}
+
+// files records every style's die layouts in sorted name order.
+func (r *Figure8Result) files(res *Result) {
+	names := make([]string, 0, len(r.SVGs))
+	for name := range r.SVGs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		res.addFile("fig8-"+name+".svg", r.SVGs[name])
+	}
 }

@@ -37,8 +37,9 @@ type HeadToHeadRow struct {
 // wall-clock of each run and is reported only through the volatile channel.
 type HeadToHeadResult struct {
 	Rows []HeadToHeadRow
-	// Elapsed holds one wall-clock duration per row, same order as Rows.
-	// It never participates in fingerprints.
+	// Elapsed holds one wall-clock duration per row (design generation
+	// plus chip build), same order as Rows. It never participates in
+	// fingerprints.
 	Elapsed []time.Duration
 }
 
@@ -60,18 +61,11 @@ func HeadToHead(ctx context.Context, cfg Config) (*HeadToHeadResult, error) {
 	ref := make(map[t2.Style]float64, len(headToHeadStyles))
 	for _, backend := range backends {
 		for _, style := range headToHeadStyles {
-			d, err := t2.Generate(cfg.t2cfg())
-			if err != nil {
-				return nil, err
-			}
-			fcfg := cfg.flowCfg()
-			fcfg.Placer = backend
-			fl := flow.New(d, fcfg)
 			//lint:ignore determinism wall-clock here feeds only the volatile Elapsed channel, which is printed but excluded from every result fingerprint
 			t0 := time.Now()
-			r, err := fl.BuildChipContext(ctx, style)
+			r, err := buildChip(ctx, cfg, style, func(fc *flow.Config) { fc.Placer = backend })
 			if err != nil {
-				return nil, fmt.Errorf("exp: headtohead %s/%s: %v", style, backend, err)
+				return nil, err
 			}
 			//lint:ignore determinism wall-clock here feeds only the volatile Elapsed channel, which is printed but excluded from every result fingerprint
 			elapsed := time.Since(t0)

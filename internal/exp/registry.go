@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"fold3d/internal/flow"
@@ -44,18 +43,33 @@ func (r *Result) addFile(name, content string) {
 	r.Files[name] = content
 }
 
-// generators is the registry in canonical (paper report) order.
-var generators = []Generator{
-	{"table1", "T2 block inventory and folding candidates", func(ctx context.Context, cfg Config) (*Result, error) {
-		return &Result{Report: Table1().String()}, nil
-	}},
-	{"table2", "2D chip reference implementation per block", func(ctx context.Context, cfg Config) (*Result, error) {
-		t, err := Table2(ctx, cfg)
+// adapter turns a typed generator into a registry Run: the report is the
+// result's String, its artifact files come from an unexported files method
+// and its display-only annotations from VolatileString, when it has them.
+func adapter[R interface{ String() string }](run func(context.Context, Config) (R, error)) func(context.Context, Config) (*Result, error) {
+	return func(ctx context.Context, cfg Config) (*Result, error) {
+		r, err := run(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Report: t.String()}, nil
-	}},
+		res := &Result{Report: r.String()}
+		if f, ok := any(r).(interface{ files(*Result) }); ok {
+			f.files(res)
+		}
+		if v, ok := any(r).(interface{ VolatileString() string }); ok {
+			res.Volatile = v.VolatileString()
+		}
+		return res, nil
+	}
+}
+
+// table1 adapts the context-free Table1 to the generator signature.
+func table1(context.Context, Config) (*Table, error) { return Table1(), nil }
+
+// generators is the registry in canonical (paper report) order.
+var generators = []Generator{
+	{"table1", "T2 block inventory and folding candidates", adapter(table1)},
+	{"table2", "2D chip reference implementation per block", adapter(Table2)},
 	{"table3", "TSV and F2F via counts per chip style", func(ctx context.Context, cfg Config) (*Result, error) {
 		_, report, err := Table3(ctx, cfg)
 		if err != nil {
@@ -72,135 +86,21 @@ var generators = []Generator{
 			"paper: footprint -48.4%, WL -6.4%, buffers -33.5%, power -5.1% (memory-dominated)\n"
 		return &Result{Report: report}, nil
 	}},
-	{"table5", "full-chip power across all five styles", func(ctx context.Context, cfg Config) (*Result, error) {
-		t, err := Table5(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: t.String()}, nil
-	}},
-	{"fig2", "CCX 2D fragmentation vs folded 3D", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure2(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Report: r.String()}
-		res.addFile("fig2-ccx-2d.svg", r.SVG2D)
-		res.addFile("fig2-ccx-3d.svg", r.SVG3D)
-		return res, nil
-	}},
-	{"fig3", "SPC second-level vs whole-block folding", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure3(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"fig4", "merged-die netlist handoff artifacts", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure4(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Report: r.String()}
-		res.addFile("fig4-merged.v", r.Verilog)
-		res.addFile("fig4-merged.def", r.DEF)
-		res.addFile("fig4-merged.lef", r.LEF)
-		res.addFile("fig4-nets3d.txt", r.Nets3D)
-		return res, nil
-	}},
-	{"fig5", "L2 tag bank under F2F bonding", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure5(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Report: r.String()}
-		res.addFile("fig5-l2t-f2f.svg", r.SVG)
-		return res, nil
-	}},
-	{"fig6", "per-block F2B vs F2F folding outcomes", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure6(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Report: r.String()}
-		for _, row := range r.Rows {
-			res.addFile("fig6-"+row.Block+"-f2b.svg", row.SVGF2B)
-			res.addFile("fig6-"+row.Block+"-f2f.svg", row.SVGF2F)
-		}
-		return res, nil
-	}},
-	{"fig7", "power breakdown of folded blocks", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure7(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"fig8", "chip-level layouts of all five styles", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := Figure8(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Report: r.String()}
-		names := make([]string, 0, len(r.SVGs))
-		for name := range r.SVGs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			res.addFile("fig8-"+name+".svg", r.SVGs[name])
-		}
-		return res, nil
-	}},
-	{"dualvth", "dual-Vth leakage recovery ablation", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := AblationDualVth(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"macromode", "macro placement mode ablation", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := AblationMacroMode(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"criteria", "folding-criteria gate ablation", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := AblationFoldingCriteria(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"thermal", "steady-state thermal study across styles", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := ThermalStudy(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"coupling", "TSV coupling capacitance ablation", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := AblationTSVCoupling(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"rsmt", "RSMT vs HPWL wirelength model ablation", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := AblationRSMT(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String()}, nil
-	}},
-	{"headtohead", "placement backends head-to-head across all five styles", func(ctx context.Context, cfg Config) (*Result, error) {
-		r, err := HeadToHead(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Report: r.String(), Volatile: r.VolatileString()}, nil
-	}},
+	{"table5", "full-chip power across all five styles", adapter(Table5)},
+	{"fig2", "CCX 2D fragmentation vs folded 3D", adapter(Figure2)},
+	{"fig3", "SPC second-level vs whole-block folding", adapter(Figure3)},
+	{"fig4", "merged-die netlist handoff artifacts", adapter(Figure4)},
+	{"fig5", "L2 tag bank under F2F bonding", adapter(Figure5)},
+	{"fig6", "per-block F2B vs F2F folding outcomes", adapter(Figure6)},
+	{"fig7", "power breakdown of folded blocks", adapter(Figure7)},
+	{"fig8", "chip-level layouts of all five styles", adapter(Figure8)},
+	{"dualvth", "dual-Vth leakage recovery ablation", adapter(AblationDualVth)},
+	{"macromode", "macro placement mode ablation", adapter(AblationMacroMode)},
+	{"criteria", "folding-criteria gate ablation", adapter(AblationFoldingCriteria)},
+	{"thermal", "steady-state thermal study across styles", adapter(ThermalStudy)},
+	{"coupling", "TSV coupling capacitance ablation", adapter(AblationTSVCoupling)},
+	{"rsmt", "RSMT vs HPWL wirelength model ablation", adapter(AblationRSMT)},
+	{"headtohead", "placement backends head-to-head across all five styles", adapter(HeadToHead)},
 }
 
 // Generators returns all registered experiments in canonical order. The

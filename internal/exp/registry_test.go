@@ -146,3 +146,21 @@ func TestRunAllSharesCache(t *testing.T) {
 		t.Fatalf("results = %+v", res)
 	}
 }
+
+// TestGeneratorsReportCancellation runs every generator that builds a block
+// or chip under an already-cancelled context: each must fail with an error
+// that still carries both errs.ErrCanceled and context.Canceled, so the
+// daemon reports the job canceled rather than failed.
+func TestGeneratorsReportCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, g := range Generators() {
+		if g.Name == "table1" {
+			continue // pure: reads the technology models, builds nothing
+		}
+		_, err := g.Run(ctx, Config{Scale: 1000, Seed: 1, Workers: 1})
+		if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want ErrCanceled and context.Canceled", g.Name, err)
+		}
+	}
+}

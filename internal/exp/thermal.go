@@ -106,14 +106,9 @@ func ThermalStudy(ctx context.Context, cfg Config) (*ThermalResult, error) {
 	eng := thermal.NewEngine()
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore, t2.StyleFoldF2B, t2.StyleFoldF2F}
 	for _, st := range styles {
-		d, err := t2.Generate(cfg.t2cfg())
+		r, err := buildChip(ctx, cfg, st, nil)
 		if err != nil {
 			return nil, err
-		}
-		fl := flow.New(d, cfg.flowCfg())
-		r, err := fl.BuildChipContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("exp: thermal %s: %w", st, err)
 		}
 		// Tile order feeds the solver's float accumulation; iterate block
 		// names sorted so the temperature field is bit-reproducible.

@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -38,8 +37,9 @@ type Package struct {
 
 // Loader parses and type-checks packages on demand. In-module import paths
 // are resolved by re-entering the loader (the "small in-module import
-// resolver" — no go/build, no external tooling); everything else, i.e. the
-// standard library, is resolved from GOROOT source via go/importer.
+// resolver" — go/build only filters files, no external tooling); everything
+// else, i.e. the standard library, is resolved from GOROOT source via
+// go/importer.
 type Loader struct {
 	// ModRoot is the absolute module root (directory holding go.mod).
 	ModRoot string
@@ -134,9 +134,7 @@ func (l *Loader) LoadModule(patterns []string) ([]*Package, error) {
 		if path != l.ModRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		if hasGoSource(path) {
-			dirs = append(dirs, path)
-		}
+		dirs = append(dirs, path)
 		return nil
 	})
 	if err != nil {
@@ -179,7 +177,7 @@ func (l *Loader) LoadModule(patterns []string) ([]*Package, error) {
 			continue
 		}
 		if len(parsed[i]) == 0 {
-			continue // every source excluded by build constraints
+			continue // no buildable non-test Go sources
 		}
 		p, err := l.load(imp, dir)
 		if err != nil {
@@ -212,20 +210,6 @@ func matchAny(patterns []string, rel string) bool {
 			if rel == sub || strings.HasPrefix(rel, sub+"/") || sub == "." {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// hasGoSource reports whether dir directly contains a non-test .go file.
-func hasGoSource(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true
 		}
 	}
 	return false
@@ -314,11 +298,12 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 }
 
 // parseDir parses the buildable, non-test Go sources of dir in file-name
-// order. Files excluded for the running platform — by a _GOOS/_GOARCH
-// file-name suffix or an unsatisfied //go:build line — are skipped, the
-// same way the go tool would skip them, so the linter never type-checks a
-// file the build would not compile. Safe for concurrent use: the file set
-// synchronizes internally and everything else is local.
+// order. go/build's MatchFile decides which files the go tool would
+// compile for the running platform — it reads only file names and headers
+// (_GOOS/_GOARCH suffixes, //go:build lines) and never runs the go
+// command — so the linter never type-checks a file the build would skip.
+// Safe for concurrent use: the file set synchronizes internally and
+// everything else is local.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -327,107 +312,19 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if excludedByFilename(name) {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
 			return nil, fmt.Errorf("lint: reading %s: %v", name, err)
-		}
-		if excludedByBuildTags(src) {
+		} else if !ok {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), src, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parsing %s: %v", name, err)
 		}
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// knownOS and knownArch are the GOOS/GOARCH values recognized in file-name
-// suffixes, mirroring go/build's lists.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true, "linux": true,
-	"netbsd": true, "openbsd": true, "plan9": true, "solaris": true,
-	"wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true, "loong64": true,
-	"mips": true, "mips64": true, "mips64le": true, "mipsle": true,
-	"ppc64": true, "ppc64le": true, "riscv64": true, "s390x": true, "wasm": true,
-}
-
-// unixOS lists the GOOS values the "unix" build tag covers.
-var unixOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "linux": true,
-	"netbsd": true, "openbsd": true, "solaris": true,
-}
-
-// excludedByFilename applies the *_GOOS.go / *_GOARCH.go / *_GOOS_GOARCH.go
-// file-name build rules against the running platform.
-func excludedByFilename(name string) bool {
-	parts := strings.Split(strings.TrimSuffix(name, ".go"), "_")
-	if len(parts) < 2 {
-		return false
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return true
-		}
-		if len(parts) >= 3 && knownOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] != runtime.GOOS
-		}
-		return false
-	}
-	if knownOS[last] {
-		return last != runtime.GOOS
-	}
-	return false
-}
-
-// excludedByBuildTags reports whether src carries a //go:build line (in the
-// header, before the package clause) that the running platform does not
-// satisfy. Tags evaluated true: the current GOOS and GOARCH, "unix" on a
-// unix-like GOOS, and go1.x toolchain versions (the module always builds
-// with the current toolchain, so version gates are treated as met);
-// everything else — including the conventional "ignore" — is false.
-func excludedByBuildTags(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if constraint.IsGoBuild(trimmed) {
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				return false
-			}
-			return !expr.Eval(buildTagSatisfied)
-		}
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") || strings.HasPrefix(trimmed, "/*") {
-			continue
-		}
-		break // reached the package clause: the constraint header is over
-	}
-	return false
-}
-
-// buildTagSatisfied evaluates one build tag against the running toolchain.
-func buildTagSatisfied(tag string) bool {
-	switch {
-	case tag == runtime.GOOS || tag == runtime.GOARCH:
-		return true
-	case tag == "unix":
-		return unixOS[runtime.GOOS]
-	case strings.HasPrefix(tag, "go1"):
-		return true
-	}
-	return false
 }

@@ -242,12 +242,13 @@ type CacheOptions struct {
 	// and written back into the earlier tiers. Tiers added here are never
 	// consulted by EntryBytes, so a fleet node serving its cache to peers
 	// cannot loop through its own peer tier.
+	//
+	// A node serves peers exactly when it has a peer tier, so a non-empty
+	// Tiers also keeps the serialized wire entry of every artifact stored
+	// with a codec in memory alongside the decoded artifact: EntryBytes
+	// then serves peers without a disk spill, at roughly one encoded copy
+	// per entry.
 	Tiers []CacheTier
-	// KeepWire retains the serialized wire entry of every artifact stored
-	// with a codec in memory alongside the decoded artifact, so EntryBytes
-	// can serve peers without a disk spill. Costs roughly one encoded copy
-	// per entry; fold3dd enables it when running with peers.
-	KeepWire bool
 	// MaxBytes, when positive, bounds the approximate decoded-artifact
 	// bytes held in memory (the memory-budgeted execution mode). Put
 	// evicts the oldest entries until the new one fits, and an artifact
@@ -274,7 +275,7 @@ type Sizer interface {
 type Cache struct {
 	disk     *DiskTier // nil without a spill dir
 	tiers    []CacheTier
-	keepWire bool
+	keepWire bool  // serve peers from memory: set when Tiers is non-empty
 	maxBytes int64 // 0 = unbounded
 
 	mu      sync.Mutex
@@ -289,7 +290,7 @@ type Cache struct {
 // NewCache returns an empty cache.
 func NewCache(opts CacheOptions) *Cache {
 	c := &Cache{
-		keepWire: opts.KeepWire,
+		keepWire: len(opts.Tiers) > 0,
 		maxBytes: opts.MaxBytes,
 		entries:  map[string]Artifact{},
 		wire:     map[string][]byte{},
@@ -414,12 +415,12 @@ func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
 }
 
 // Put stores a deep clone of the artifact and, with a codec, encodes the
-// wire entry for the lower tiers (and for EntryBytes when KeepWire is on).
+// wire entry for the lower tiers (and for EntryBytes when serving peers).
 // Tier write failures are swallowed: the memory entry is already in place
 // and the spill is an optimization, not a durability promise.
 func (c *Cache) Put(key string, art Artifact, codec *Codec) {
 	var entry []byte
-	if codec != nil && (len(c.tiers) > 0 || c.keepWire) {
+	if codec != nil && len(c.tiers) > 0 {
 		// Encode from the caller's artifact directly: Put returns before the
 		// caller can mutate it again, and the bytes are the same as encoding
 		// a clone would produce.
@@ -450,7 +451,7 @@ func (c *Cache) Put(key string, art Artifact, codec *Codec) {
 
 // EntryBytes returns the serialized wire entry for key so a fleet node can
 // serve its cache to peers. Only local state is consulted — the in-memory
-// wire copy (with KeepWire) and the disk spill — never the network tiers,
+// wire copy (kept when the cache has peer tiers) and the disk spill — never the network tiers,
 // so peer-to-peer lookups cannot loop.
 func (c *Cache) EntryBytes(key string) ([]byte, bool) {
 	c.mu.Lock()

@@ -488,8 +488,9 @@ func TestCachePeerTierCorruptIsMiss(t *testing.T) {
 }
 
 // TestCacheEntryBytes pins the peer-serving path: EntryBytes returns the
-// exact wire entry from the KeepWire copy or the disk spill, and never
-// consults remote tiers (so peer lookups cannot cascade).
+// exact wire entry from the in-memory wire copy a cache with a peer tier
+// keeps, or from the disk spill, and never consults remote tiers (so peer
+// lookups cannot cascade).
 func TestCacheEntryBytes(t *testing.T) {
 	codec := testCodec()
 	art := &testArtifact{Vals: []int{4, 5}}
@@ -498,15 +499,15 @@ func TestCacheEntryBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// KeepWire: served from memory, no disk needed.
-	mem := NewCache(CacheOptions{KeepWire: true})
+	// A peer tier keeps the wire copy: served from memory, no disk needed.
+	mem := NewCache(CacheOptions{Tiers: []CacheTier{newFakeTier("peer")}})
 	mem.Put("aa11", art, codec)
 	got, ok := mem.EntryBytes("aa11")
 	if !ok || !bytes.Equal(got, want) {
-		t.Fatalf("KeepWire EntryBytes mismatch (ok=%v)", ok)
+		t.Fatalf("memory EntryBytes mismatch (ok=%v)", ok)
 	}
 
-	// Disk spill: served from the file even without KeepWire.
+	// Disk spill: served from the file even without a peer tier.
 	disk := NewCache(CacheOptions{Dir: t.TempDir()})
 	disk.Put("bb22", art, codec)
 	got, ok = disk.EntryBytes("bb22")

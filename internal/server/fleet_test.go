@@ -54,10 +54,7 @@ func newFleet(tb testing.TB, n, depth int) []*fleetNode {
 			tb.Fatal(err)
 		}
 		router := cluster.NewRouter(ring, fleetToken)
-		cache := pipeline.NewCache(pipeline.CacheOptions{
-			Tiers:    []pipeline.CacheTier{router.Tier()},
-			KeepWire: true,
-		})
+		cache := pipeline.NewCache(pipeline.CacheOptions{Tiers: []pipeline.CacheTier{router.Tier()}})
 		mgr := jobs.NewManager(jobs.Options{Workers: 1, QueueDepth: depth, Cache: cache, NodeID: nodes[i].ID})
 		srv := httptest.NewUnstartedServer(NewWithOptions(Options{Manager: mgr, Router: router}))
 		srv.Listener.Close()
