@@ -375,44 +375,11 @@ func (e *Engine) smoothWindow(lv *level, lx, ly, hx, hy, sweeps int) {
 	e.relax += int64(sweeps) * int64(dies) * int64(hx-lx+1) * int64(hy-ly+1)
 }
 
-// residual fills lv.r with f - A u over the whole level.
-func (e *Engine) residual(lv *level) {
-	e.residualWindow(lv, 0, 0, lv.nx-1, lv.ny-1)
-}
-
-// residualWindow fills lv.r with f - A u over the inclusive window; entries
-// outside it are left stale and must not be read.
-func (e *Engine) residualWindow(lv *level, lx, ly, hx, hy int) {
-	nx, ny := lv.nx, lv.ny
-	for d := 0; d < e.dies; d++ {
-		for iy := ly; iy <= hy; iy++ {
-			for ix := lx; ix <= hx; ix++ {
-				i := iy*nx + ix
-				flow := lv.f[d][i] - lv.diag[d][i]*lv.u[d][i]
-				if ix > 0 {
-					flow += lv.gx[i-1] * lv.u[d][i-1]
-				}
-				if ix < nx-1 {
-					flow += lv.gx[i] * lv.u[d][i+1]
-				}
-				if iy > 0 {
-					flow += lv.gy[i-nx] * lv.u[d][i-nx]
-				}
-				if iy < ny-1 {
-					flow += lv.gy[i] * lv.u[d][i+nx]
-				}
-				if e.dies == 2 {
-					flow += lv.vertK[i] * lv.u[1-d][i]
-				}
-				lv.r[d][i] = flow
-			}
-		}
-	}
-}
-
-// scaledResidual returns the largest |r|/diag (°C of pending Jacobi update)
-// over the inclusive window — the convergence measure.
-func (e *Engine) scaledResidual(lv *level, lx, ly, hx, hy int) float64 {
+// residualWindow fills lv.r with f - A u over the inclusive window and
+// returns the largest |r|/diag there (°C of pending Jacobi update) — the
+// convergence measure. Entries of lv.r outside the window are left stale and
+// must not be read.
+func (e *Engine) residualWindow(lv *level, lx, ly, hx, hy int) float64 {
 	nx, ny := lv.nx, lv.ny
 	var worst float64
 	for d := 0; d < e.dies; d++ {
@@ -435,6 +402,7 @@ func (e *Engine) scaledResidual(lv *level, lx, ly, hx, hy int) float64 {
 				if e.dies == 2 {
 					flow += lv.vertK[i] * lv.u[1-d][i]
 				}
+				lv.r[d][i] = flow
 				if v := math.Abs(flow) / lv.diag[d][i]; v > worst {
 					worst = v
 				}
@@ -444,69 +412,32 @@ func (e *Engine) scaledResidual(lv *level, lx, ly, hx, hy int) float64 {
 	return worst
 }
 
-// vcycle runs one V-cycle rooted at level l: pre-smooth, restrict the
-// residual (summation over 2x2 aggregates, matching the piecewise-constant
-// prolongation), recurse, prolong the correction, post-smooth.
-func (e *Engine) vcycle(l int) {
-	lv := e.levels[l]
-	if l == len(e.levels)-1 {
-		e.smoothWindow(lv, 0, 0, lv.nx-1, lv.ny-1, coarsestSweeps)
-		return
-	}
-	e.smoothWindow(lv, 0, 0, lv.nx-1, lv.ny-1, nuPre)
-	e.residual(lv)
-	c := e.levels[l+1]
-	for d := 0; d < e.dies; d++ {
-		cf, cu := c.f[d], c.u[d]
-		for i := range cf {
-			cf[i] = 0
-			cu[i] = 0
-		}
-		for iy := 0; iy < lv.ny; iy++ {
-			cy := iy / 2
-			for ix := 0; ix < lv.nx; ix++ {
-				cf[cy*c.nx+ix/2] += e.restrictScale * lv.r[d][iy*lv.nx+ix]
-			}
-		}
-	}
-	e.vcycle(l + 1)
-	for d := 0; d < e.dies; d++ {
-		for iy := 0; iy < lv.ny; iy++ {
-			cy := iy / 2
-			for ix := 0; ix < lv.nx; ix++ {
-				lv.u[d][iy*lv.nx+ix] += c.u[d][cy*c.nx+ix/2]
-			}
-		}
-	}
-	e.smoothWindow(lv, 0, 0, lv.nx-1, lv.ny-1, nuPost)
-}
-
 // windowPad is how far each coarse window extends beyond the parents of the
 // fine window in the windowed V-cycle — room for the local part of the
 // coarse correction to spread past the dirty region.
 const windowPad = 2
 
-// vcycleWindow is the incremental-re-solve V-cycle: relaxation work —
-// smoothing and residual evaluation — runs only inside a window around the
-// dirty region at every level, with the window shrinking geometrically
-// toward the coarse grids. The restricted residual is zero outside the
-// window (everything farther out still satisfied the previous converged
-// solve to below tolerance), but the resulting coarse correction is NOT
-// clipped: it is prolonged over the whole level, because a localized
-// conductance or power edit shifts the global (weak-sink) temperature mode
-// everywhere, and that smooth component must land outside the window too —
-// applying a smooth correction costs only streaming adds and leaves
-// sub-tolerance residual where no smoothing happens. Once the window covers
-// a level, the plain V-cycle takes over below it. Returns the fine-level
-// post-smoothing window (the only region where sharp error can remain).
+// vcycleWindow runs one V-cycle rooted at level l over the inclusive window
+// [lx,hx] x [ly,hy]: pre-smooth, restrict the residual (summation over 2x2
+// aggregates, matching the piecewise-constant prolongation), recurse,
+// prolong the correction, post-smooth. It is the engine's only V-cycle:
+// Solve runs it on the full grid, where every coarse and post-smoothing
+// window clamps to the full level; Resolve runs it on a window around the
+// dirty region, so relaxation work — smoothing and residual evaluation —
+// shrinks geometrically toward the coarse grids. The restricted residual is
+// zero outside the window (everything farther out still satisfied the
+// previous converged solve to below tolerance), but the resulting coarse
+// correction is NOT clipped: it is prolonged over the whole level, because
+// a localized conductance or power edit shifts the global (weak-sink)
+// temperature mode everywhere, and that smooth component must land outside
+// the window too — applying a smooth correction costs only streaming adds
+// and leaves sub-tolerance residual where no smoothing happens. Returns the
+// fine-level post-smoothing window (the only region where sharp error can
+// remain).
 func (e *Engine) vcycleWindow(l, lx, ly, hx, hy int) (rlx, rly, rhx, rhy int) {
 	lv := e.levels[l]
 	if l == len(e.levels)-1 {
 		e.smoothWindow(lv, lx, ly, hx, hy, coarsestSweeps)
-		return lx, ly, hx, hy
-	}
-	if lx == 0 && ly == 0 && hx == lv.nx-1 && hy == lv.ny-1 {
-		e.vcycle(l)
 		return lx, ly, hx, hy
 	}
 	e.smoothWindow(lv, lx, ly, hx, hy, nuPre)
@@ -558,7 +489,7 @@ func (e *Engine) Solve() (*Result, error) {
 	}
 	fine := e.levels[0]
 	for cycle := 0; ; cycle++ {
-		if e.scaledResidual(fine, 0, 0, fine.nx-1, fine.ny-1) < e.tol {
+		if e.residualWindow(fine, 0, 0, fine.nx-1, fine.ny-1) < e.tol {
 			e.solved = true
 			e.dirty = false
 			return e.result(), nil
@@ -567,7 +498,7 @@ func (e *Engine) Solve() (*Result, error) {
 			return nil, fmt.Errorf("thermal: multigrid stalled above tolerance %g after %d V-cycles (broken operator hierarchy?)",
 				e.tol, maxVCycles)
 		}
-		e.vcycle(0)
+		e.vcycleWindow(0, 0, 0, fine.nx-1, fine.ny-1)
 	}
 }
 
@@ -607,7 +538,7 @@ func (e *Engine) Resolve() (*Result, error) {
 		// Acceptance is the same full-grid scaled-residual criterion as
 		// Solve — a flops-only scan, no relaxation work — so an incremental
 		// answer can never be weaker than a from-scratch one.
-		if e.scaledResidual(fine, 0, 0, nx-1, ny-1) < e.tol {
+		if e.residualWindow(fine, 0, 0, nx-1, ny-1) < e.tol {
 			e.solved = true
 			e.dirty = false
 			return e.result(), nil
@@ -677,17 +608,8 @@ func (e *Engine) LoadBlock(b *netlist.Block, sm tech.ScaleModel, bond extract.Bo
 	if out.Area() <= 0 {
 		return nil, fmt.Errorf("thermal: block %s has no outline", b.Name)
 	}
-	const nx, ny = 16, 16
-	grid, err := geom.NewGrid(out, nx, ny)
+	grid, tileAreaM2, err := e.reinitOver(out, 16, 16, dies, sm, p)
 	if err != nil {
-		return nil, fmt.Errorf("thermal: %v", err)
-	}
-
-	// Tile geometry at physical scale.
-	shrink := sm.LinearShrink()
-	dx, dy := grid.BinSize()
-	tileAreaM2 := (dx * shrink * 1e-6) * (dy * shrink * 1e-6)
-	if err := e.ReinitGrid(nx, ny, dies, tileAreaM2, p); err != nil {
 		return nil, err
 	}
 
@@ -729,13 +651,7 @@ func (e *Engine) LoadBlock(b *netlist.Block, sm tech.ScaleModel, bond extract.Bo
 	}
 
 	// Vertical conductance per tile: bond baseline plus TSV copper (F2B).
-	base := p.KBondBaseWPerM2K
-	if bond == extract.F2F {
-		// Metal-to-metal face bond conducts better than the F2B adhesive,
-		// but the stack loses the TSV thermal paths.
-		base *= 1.8
-	}
-	e.SetUniformVertK(base * tileAreaM2)
+	e.SetUniformVertK(bondBaseK(bond, p) * tileAreaM2)
 	if bond == extract.F2B {
 		// Each physical TSV adds its copper conductance at its pad's tile.
 		perPad := math.Sqrt(sm.Scale) // one drawn pad stands for many vias
@@ -757,14 +673,8 @@ func (e *Engine) LoadChip(outline geom.Rect, tiles []ChipPowerTile, dies int, bo
 		return nil, fmt.Errorf("thermal: empty chip outline")
 	}
 	const nx, ny = 24, 24
-	grid, err := geom.NewGrid(outline, nx, ny)
+	grid, tileAreaM2, err := e.reinitOver(outline, nx, ny, dies, sm, p)
 	if err != nil {
-		return nil, fmt.Errorf("thermal: %v", err)
-	}
-	shrink := sm.LinearShrink()
-	dx, dy := grid.BinSize()
-	tileAreaM2 := (dx * shrink * 1e-6) * (dy * shrink * 1e-6)
-	if err := e.ReinitGrid(nx, ny, dies, tileAreaM2, p); err != nil {
 		return nil, err
 	}
 	for _, t := range tiles {
@@ -783,10 +693,32 @@ func (e *Engine) LoadChip(outline geom.Rect, tiles []ChipPowerTile, dies int, bo
 			}
 		})
 	}
-	base := p.KBondBaseWPerM2K
-	if bond == extract.F2F {
-		base *= 1.8
-	}
-	e.SetUniformVertK(base*tileAreaM2 + p.KTSVWPerK*float64(tsvs)/float64(nx*ny))
+	e.SetUniformVertK(bondBaseK(bond, p)*tileAreaM2 + p.KTSVWPerK*float64(tsvs)/float64(nx*ny))
 	return grid, nil
+}
+
+// reinitOver reinitializes the engine to an nx x ny tile grid laid over
+// outline and returns the grid with the physical area of one tile.
+func (e *Engine) reinitOver(outline geom.Rect, nx, ny, dies int, sm tech.ScaleModel, p Params) (*geom.Grid, float64, error) {
+	grid, err := geom.NewGrid(outline, nx, ny)
+	if err != nil {
+		return nil, 0, fmt.Errorf("thermal: %v", err)
+	}
+	shrink := sm.LinearShrink()
+	dx, dy := grid.BinSize()
+	tileAreaM2 := (dx * shrink * 1e-6) * (dy * shrink * 1e-6)
+	if err := e.ReinitGrid(nx, ny, dies, tileAreaM2, p); err != nil {
+		return nil, 0, err
+	}
+	return grid, tileAreaM2, nil
+}
+
+// bondBaseK is the uniform die-to-die bond conductance per unit area. The
+// metal-to-metal F2F face bond conducts better than the F2B adhesive, but
+// the stack loses the TSV thermal paths.
+func bondBaseK(bond extract.Bonding, p Params) float64 {
+	if bond == extract.F2F {
+		return p.KBondBaseWPerM2K * 1.8
+	}
+	return p.KBondBaseWPerM2K
 }
