@@ -14,52 +14,42 @@ import (
 	"fold3d/internal/tech"
 )
 
-// blockArtifact is the cacheable result of one block implementation: the
-// fully implemented netlist plus every figure the experiments report. A
-// restored artifact is byte-identical to recomputation (TestCacheEquivalence
-// pins this down), so the cache is free to substitute it anywhere.
-type blockArtifact struct {
-	Block   *netlist.Block
-	Stats   netlist.Stats
-	Power   power.Report
-	Timing  *sta.Report
-	CTS     *cts.Result
-	Reps    int
-	Swapped int
-}
-
-// CloneArtifact deep-copies the artifact: the block via netlist.Clone, the
-// timing report's slices explicitly, the CTS result by value. Nothing
-// mutable is shared with the receiver.
-func (a *blockArtifact) CloneArtifact() pipeline.Artifact {
-	c := &blockArtifact{
-		Block:   a.Block.Clone(),
-		Stats:   a.Stats,
-		Power:   a.Power,
-		Reps:    a.Reps,
-		Swapped: a.Swapped,
-	}
-	if a.Timing != nil {
-		t := *a.Timing
-		t.CellSlack = append([]float64(nil), a.Timing.CellSlack...)
-		t.NetSlack = append([]float64(nil), a.Timing.NetSlack...)
-		t.ArrOut = append([]float64(nil), a.Timing.ArrOut...)
-		c.Timing = &t
-	}
-	if a.CTS != nil {
-		v := *a.CTS
+// CloneArtifact deep-copies the result: the block via netlist.Clone, the
+// timing report via cloneTiming, the CTS result by value. Nothing mutable is
+// shared with the receiver. A *BlockResult is the cacheable artifact of one
+// block implementation; a restored one is byte-identical to recomputation
+// (TestCacheEquivalence pins this down), so the cache is free to substitute
+// it anywhere.
+func (r *BlockResult) CloneArtifact() pipeline.Artifact {
+	c := *r
+	c.Block = r.Block.Clone()
+	c.Timing = cloneTiming(r.Timing)
+	if r.CTS != nil {
+		v := *r.CTS
 		c.CTS = &v
 	}
-	return c
+	return &c
 }
 
-// ApproxBytes reports the artifact's rough in-memory footprint for the
+// cloneTiming deep-copies a timing report (nil stays nil).
+func cloneTiming(t *sta.Report) *sta.Report {
+	if t == nil {
+		return nil
+	}
+	c := *t
+	c.CellSlack = append([]float64(nil), t.CellSlack...)
+	c.NetSlack = append([]float64(nil), t.NetSlack...)
+	c.ArrOut = append([]float64(nil), t.ArrOut...)
+	return &c
+}
+
+// ApproxBytes reports the result's rough in-memory footprint for the
 // cache's MaxBytes budget (pipeline.Sizer). Dominated by the netlist; the
 // per-element constants are struct sizes rounded up to cover the slice
 // headers, sink slices and name strings hanging off each record.
-func (a *blockArtifact) ApproxBytes() int64 {
+func (r *BlockResult) ApproxBytes() int64 {
 	var n int64
-	if b := a.Block; b != nil {
+	if b := r.Block; b != nil {
 		const (
 			cellBytes  = 128 // Instance + name string + sink refs amortized
 			netBytes   = 160 // Net + sinks slice + name
@@ -72,27 +62,10 @@ func (a *blockArtifact) ApproxBytes() int64 {
 			int64(len(b.Ports))*portBytes +
 			int64(len(b.TSVPads))*32
 	}
-	if a.Timing != nil {
-		n += int64(len(a.Timing.CellSlack)+len(a.Timing.NetSlack)+len(a.Timing.ArrOut)) * 8
+	if r.Timing != nil {
+		n += int64(len(r.Timing.CellSlack)+len(r.Timing.NetSlack)+len(r.Timing.ArrOut)) * 8
 	}
 	return n + 1024
-}
-
-// result converts the artifact into the BlockResult the flow returns,
-// installing the implemented netlist into live (the caller's block pointer
-// stays valid — content replacement, like the rest of the flow mutates
-// blocks in place).
-func (a *blockArtifact) result(live *netlist.Block) *BlockResult {
-	*live = *a.Block
-	return &BlockResult{
-		Block:             live,
-		Stats:             a.Stats,
-		Power:             a.Power,
-		Timing:            a.Timing,
-		CTS:               a.CTS,
-		RepeatersInserted: a.Reps,
-		HVTSwapped:        a.Swapped,
-	}
 }
 
 // reinternMasters rewrites every cell's Master pointer to the canonical
@@ -116,7 +89,9 @@ func reinternMasters(b *netlist.Block, lib *tech.Library) error {
 // Wire forms for the gob disk codec. Instance.Master is a pointer into the
 // shared cell library; on the wire it becomes the (family, drive, Vth) key
 // and the decoder re-interns it against the live library. Everything else
-// is exported value data and gob-encodes directly.
+// is exported value data and gob-encodes directly. The wire names Reps and
+// Swapped carry BlockResult's RepeatersInserted and HVTSwapped; they stay
+// as they are so entries already on disk and on peers still decode.
 type wireInstance struct {
 	Name       string
 	Fam        int
@@ -167,9 +142,9 @@ func (f *Flow) blockCodec() *pipeline.Codec {
 		Kind:    "block",
 		Version: blockCodecVersion,
 		Encode: func(a pipeline.Artifact) ([]byte, error) {
-			art, ok := a.(*blockArtifact)
+			art, ok := a.(*BlockResult)
 			if !ok {
-				return nil, fmt.Errorf("flow: encoding %T, want *blockArtifact", a)
+				return nil, fmt.Errorf("flow: encoding %T, want *flow.BlockResult", a)
 			}
 			b := art.Block
 			w := wireArtifact{
@@ -191,8 +166,8 @@ func (f *Flow) blockCodec() *pipeline.Codec {
 				Power:   art.Power,
 				Timing:  art.Timing,
 				CTS:     art.CTS,
-				Reps:    art.Reps,
-				Swapped: art.Swapped,
+				Reps:    art.RepeatersInserted,
+				Swapped: art.HVTSwapped,
 			}
 			for i := range b.Cells {
 				c := &b.Cells[i]
@@ -251,47 +226,40 @@ func (f *Flow) blockCodec() *pipeline.Codec {
 					Activity:   c.Activity,
 				}
 			}
-			return &blockArtifact{
-				Block:   b,
-				Stats:   w.Stats,
-				Power:   w.Power,
-				Timing:  w.Timing,
-				CTS:     w.CTS,
-				Reps:    w.Reps,
-				Swapped: w.Swapped,
+			return &BlockResult{
+				Block:             b,
+				Stats:             w.Stats,
+				Power:             w.Power,
+				Timing:            w.Timing,
+				CTS:               w.CTS,
+				RepeatersInserted: w.Reps,
+				HVTSwapped:        w.Swapped,
 			}, nil
 		},
 	}
 }
 
-// artifactSpec wires the block artifact into the pipeline executor: capture
-// hands the live result to the cache (which deep-clones it), restore
-// re-interns masters against this design's library and installs the cached
-// implementation into the live block.
+// artifactSpec wires the block result into the pipeline executor as its
+// cached artifact: capture hands the live result to the cache (which
+// deep-clones it), restore re-interns masters against this design's library
+// and installs the cached implementation into the live block — the caller's
+// block pointer stays valid (content replacement, like the rest of the flow
+// mutates blocks in place).
 func (st *implState) artifactSpec() *pipeline.ArtifactSpec {
 	return &pipeline.ArtifactSpec{
-		Codec: st.f.blockCodec(),
-		Capture: func() (pipeline.Artifact, error) {
-			r := st.res
-			return &blockArtifact{
-				Block:   r.Block,
-				Stats:   r.Stats,
-				Power:   r.Power,
-				Timing:  r.Timing,
-				CTS:     r.CTS,
-				Reps:    r.RepeatersInserted,
-				Swapped: r.HVTSwapped,
-			}, nil
-		},
+		Codec:   st.f.blockCodec(),
+		Capture: func() (pipeline.Artifact, error) { return st.res, nil },
 		Restore: func(a pipeline.Artifact) error {
-			art, ok := a.(*blockArtifact)
+			res, ok := a.(*BlockResult)
 			if !ok {
-				return fmt.Errorf("flow: cache returned %T, want *blockArtifact", a)
+				return fmt.Errorf("flow: cache returned %T, want *flow.BlockResult", a)
 			}
-			if err := reinternMasters(art.Block, st.f.D.Lib); err != nil {
+			if err := reinternMasters(res.Block, st.f.D.Lib); err != nil {
 				return err
 			}
-			st.res = art.result(st.b)
+			*st.b = *res.Block
+			res.Block = st.b
+			st.res = res
 			return nil
 		},
 	}

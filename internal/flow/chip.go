@@ -262,9 +262,7 @@ func (st *chipState) stageImplement(ctx context.Context) error {
 
 // stageChipNets computes chip-level net lengths, power and repeaters.
 func (st *chipState) stageChipNets(ctx context.Context) error {
-	if err := st.f.extractChipNets(st.res, st.style); err != nil {
-		return err
-	}
+	st.f.extractChipNets(st.res)
 	st.f.progress(StageChipNets, "", 1, 1)
 	return nil
 }
@@ -423,7 +421,7 @@ func (f *Flow) budgetPorts(chipNets []floorplan.ChipNet) {
 
 // extractChipNets computes the real-equivalent power of the inter-block
 // nets and their repeater population from the routed geometry.
-func (f *Flow) extractChipNets(res *ChipResult, style t2.Style) error {
+func (f *Flow) extractChipNets(res *ChipResult) {
 	d := f.D
 	ps := d.PortScale() // physical wires per drawn wire
 	buf := d.Lib.MustCell(tech.BUF, 8, tech.RVT)
@@ -457,8 +455,6 @@ func (f *Flow) extractChipNets(res *ChipResult, style t2.Style) error {
 	netP.TotalMW = netP.CellMW + netP.NetMW + netP.LeakageMW
 	res.ChipNetPower = netP
 	res.Stats.ChipRepeaters = int(totalRepeaters)
-	_ = style
-	return nil
 }
 
 // aggregate fills the chip-level stats and power totals.
@@ -478,8 +474,7 @@ func (f *Flow) aggregate(res *ChipResult) {
 		s.WirelengthUm += br.Stats.Wirelength
 		s.NumCells += br.Stats.NumCells
 		s.NumBuffers += br.Stats.NumBuffers
-		rvt, hvt := netlist.CountVth(br.Block)
-		_ = rvt
+		_, hvt := netlist.CountVth(br.Block)
 		s.NumHVT += hvt
 		s.ViasIntraDrawn += br.Stats.NumTSV + br.Stats.NumF2F
 		res.Power.Add(br.Power)

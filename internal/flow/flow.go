@@ -350,21 +350,16 @@ func normalizePorts(b *netlist.Block) {
 	}
 }
 
-// repeaterBudget returns the free placement area (µm²) available for
-// repeater insertion: the outline capacity at the legalization utilization
-// ceiling minus everything already placed, with a reserve for clock buffers.
+// repeaterBudget returns the free placement area (µm²) of a 2D block
+// available for repeater insertion: the outline capacity at the
+// legalization utilization ceiling minus everything already placed, with a
+// reserve for clock buffers. Folded blocks budget per die
+// (repeaterBudgetPerDie).
 func (f *Flow) repeaterBudget(b *netlist.Block) float64 {
 	const maxUtil = 0.80
 	area, err := place.FreeRowArea(b, netlist.DieBottom)
 	if err != nil {
 		return 1
-	}
-	if b.Is3D {
-		a1, err := place.FreeRowArea(b, netlist.DieTop)
-		if err != nil {
-			return 1
-		}
-		area += a1
 	}
 	free := area*maxUtil - b.CellArea(-1)
 	// Reserve part of the free space for CTS buffers and legalization slop.

@@ -94,40 +94,6 @@ func (f *Flow) portFactor(name string, cells int) float64 {
 	return pf
 }
 
-// prepareOutline2D sizes the bottom-die outline of a 2D block (if not
-// already fixed by the chip floorplan) and packs its macros.
-func (f *Flow) prepareOutline2D(b *netlist.Block, aspect float64) error {
-	if b.Outline[0].Area() <= 0 {
-		b.Outline[0] = f.outlineFor(f.cellDemand(b, -1, 0), len(b.Macros), aspect)
-	}
-	return f.placeMacros(b, netlist.DieBottom)
-}
-
-// prepareOutline3D sizes both die outlines of a folded block to the same
-// rectangle (the dies are stacked) and packs each die's macros. extra is
-// per-die additional area (TSV pads under F2B).
-func (f *Flow) prepareOutline3D(b *netlist.Block, aspect, extra float64) error {
-	if b.Outline[0].Area() <= 0 || b.Outline[1].Area() <= 0 {
-		var nm [2]int
-		for i := range b.Macros {
-			nm[b.Macros[i].Die]++
-		}
-		o0 := f.outlineFor(f.cellDemand(b, 0, extra), nm[0], aspect)
-		o1 := f.outlineFor(f.cellDemand(b, 1, extra), nm[1], aspect)
-		out := o0
-		if o1.Area() > out.Area() {
-			out = o1
-		}
-		b.Outline[0], b.Outline[1] = out, out
-	}
-	for d := 0; d < 2; d++ {
-		if err := f.placeMacros(b, netlist.Die(d)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // placeMacros packs the macros of die d in rows from the top edge down,
 // memory-compiler style, with routing channels between them. Macros are
 // fixed afterwards; the placer treats them as supply holes.

@@ -12,7 +12,6 @@ import (
 	"fold3d/internal/place"
 	"fold3d/internal/power"
 	"fold3d/internal/route"
-	"fold3d/internal/sta"
 )
 
 // implState carries one block implementation through its stage plan. Every
@@ -35,7 +34,6 @@ type implState struct {
 	ctsRes  *cts.Result
 	reps    int
 	swapped int
-	timing  *sta.Report
 
 	res *BlockResult
 }
@@ -145,23 +143,32 @@ func (st *implState) blockPlan() *pipeline.Plan {
 	return p
 }
 
-// stagePrepare sizes the block outline (2D: single die; 3D: per-die with
-// TSV-pad allowance under F2B), fixes the routing-layer ceiling for F2F,
-// and rescales the ports into the outline.
+// stagePrepare sizes any unset outline with ShapeForBlock, packs each die's
+// macros, fixes the routing-layer ceiling for F2F, and rescales the ports
+// into the outline.
 func (st *implState) stagePrepare(ctx context.Context) error {
 	f, b := st.f, st.b
+	dies := 1
 	if b.Is3D {
+		dies = 2
 		// Under F2F bonding every metal layer is consumed by the block itself
 		// (F2F vias sit on top of M9), so the block may route all nine layers
 		// but becomes an over-the-block routing blockage at chip level (§6.1).
 		if f.Cfg.Bond == extract.F2F {
 			b.MaxRouteLayer = 9
 		}
-		if err := f.prepareOutline3D(b, st.aspect, f.tsvPadAllowance(b)); err != nil {
-			return err
+	}
+	// An outline not already fixed by the chip floorplan gets the shape the
+	// floorplan would have given it; both dies of a folded block share it.
+	if b.Outline[0].Area() <= 0 || (b.Is3D && b.Outline[1].Area() <= 0) {
+		out := f.ShapeForBlock(b, st.aspect)
+		b.Outline[0] = out
+		if b.Is3D {
+			b.Outline[1] = out
 		}
-	} else {
-		if err := f.prepareOutline2D(b, st.aspect); err != nil {
+	}
+	for d := 0; d < dies; d++ {
+		if err := f.placeMacros(b, netlist.Die(d)); err != nil {
 			return err
 		}
 	}
@@ -318,20 +325,14 @@ func (st *implState) stageFinal(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("flow: final STA on %s: %v", b.Name, err)
 	}
-	// The engine's report aliases its internal arrays; copy it so recycling
-	// the optimizer for the next block cannot mutate this block's sign-off
-	// numbers after the fact.
-	t := *timing
-	t.CellSlack = append([]float64(nil), timing.CellSlack...)
-	t.NetSlack = append([]float64(nil), timing.NetSlack...)
-	t.ArrOut = append([]float64(nil), timing.ArrOut...)
-	timing = &t
-	st.timing = timing
 	st.res = &BlockResult{
-		Block:             b,
-		Stats:             netlist.CollectStats(b, f.D.Scale.LongWireThreshold()),
-		Power:             power.Analyze(b, f.D.Scale),
-		Timing:            timing,
+		Block: b,
+		Stats: netlist.CollectStats(b, f.D.Scale.LongWireThreshold()),
+		Power: power.Analyze(b, f.D.Scale),
+		// The engine's report aliases its internal arrays; copy it so
+		// recycling the optimizer for the next block cannot mutate this
+		// block's sign-off numbers after the fact.
+		Timing:            cloneTiming(timing),
 		CTS:               st.ctsRes,
 		RepeatersInserted: st.reps,
 		HVTSwapped:        st.swapped,

@@ -132,17 +132,13 @@ func (o *Optimizer) analyzeAt(b *netlist.Block, uncertaintyPS float64) (*sta.Rep
 	return eng.Analyze(uncertaintyPS)
 }
 
-// analyze runs timing at the optimizer's CTS skew.
-func (o *Optimizer) analyze(b *netlist.Block) (*sta.Report, error) {
-	return o.analyzeAt(b, o.Skew)
-}
-
-// Timing returns b's current timing through the optimizer's persistent
-// incremental engine, reusing cached propagation when only marked edits
-// happened since the last call. The Report and its slices are owned by the
-// engine and valid until the next timing call on this optimizer.
+// Timing returns b's current timing at the optimizer's CTS skew through
+// its persistent incremental engine, reusing cached propagation when only
+// marked edits happened since the last call. The Report and its slices are
+// owned by the engine and valid until the next timing call on this
+// optimizer.
 func (o *Optimizer) Timing(b *netlist.Block) (*sta.Report, error) {
-	return o.analyze(b)
+	return o.analyzeAt(b, o.Skew)
 }
 
 // InvalidateTiming drops the engine's cached timing state. Callers must
@@ -679,7 +675,7 @@ func (o *Optimizer) FixTiming(b *netlist.Block) (*sta.Report, error) {
 	var rep *sta.Report
 	var err error
 	for pass := 0; pass < o.Opt.SizePasses; pass++ {
-		rep, err = o.analyze(b)
+		rep, err = o.Timing(b)
 		if err != nil {
 			return nil, err
 		}
@@ -720,7 +716,7 @@ func (o *Optimizer) FixTiming(b *netlist.Block) (*sta.Report, error) {
 			return nil, err
 		}
 	}
-	return o.analyze(b)
+	return o.Timing(b)
 }
 
 // pathShare is the assumed number of cells sharing a path's slack during
@@ -740,7 +736,7 @@ func (o *Optimizer) RecoverPower(b *netlist.Block) (int, error) {
 	total := 0
 	eng := o.engineFor(b)
 	for pass := 0; pass < o.Opt.SizePasses; pass++ {
-		rep, err := o.analyze(b)
+		rep, err := o.Timing(b)
 		if err != nil {
 			return total, err
 		}
@@ -794,7 +790,7 @@ func (o *Optimizer) SwapToHVT(b *netlist.Block) (int, error) {
 	total := 0
 	eng := o.engineFor(b)
 	for pass := 0; pass < o.Opt.SizePasses; pass++ {
-		rep, err := o.analyze(b)
+		rep, err := o.Timing(b)
 		if err != nil {
 			return total, err
 		}
