@@ -40,7 +40,7 @@ func runCtxFlow(cfgc *Config, p *Package) []Finding {
 	for _, fb := range funcBodiesOf(p, dataflow.Funcs(p.Info, p.Files)) {
 		out = append(out, ctxScanFunc(p, bi, fb)...)
 	}
-	return sortFindings(out)
+	return out
 }
 
 // ctxFacts is the must-live set: context objects guaranteed to carry the

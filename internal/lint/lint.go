@@ -186,7 +186,7 @@ type Timing struct {
 }
 
 // RunTimed executes checks over pkgs, filters findings through
-// //lint:ignore directives, and returns the remainder sorted by position,
+// //lint:ignore directives, and returns the remainder sorted by findingLess,
 // plus per-check cumulative timings (sorted slowest first). Every
 // (package, check) pair runs as an independent pool task writing into its
 // own slot; the merge walks slots in index order, so the output is
@@ -234,20 +234,27 @@ func RunTimed(cfg *Config, pkgs []*Package, checks []*Check) ([]Finding, []Timin
 		}
 		return timings[i].Check < timings[j].Check
 	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Check < b.Check
-	})
+	sort.Slice(out, func(i, j int) bool { return findingLess(out[i], out[j]) })
 	return out, timings
+}
+
+// findingLess is the total order of reported findings: file, line, column,
+// check, then message. Checks may emit findings in any order (mapiter walks
+// a map); two findings equal under this order are indistinguishable.
+func findingLess(a, b Finding) bool {
+	if a.Pos.Filename != b.Pos.Filename {
+		return a.Pos.Filename < b.Pos.Filename
+	}
+	if a.Pos.Line != b.Pos.Line {
+		return a.Pos.Line < b.Pos.Line
+	}
+	if a.Pos.Column != b.Pos.Column {
+		return a.Pos.Column < b.Pos.Column
+	}
+	if a.Check != b.Check {
+		return a.Check < b.Check
+	}
+	return a.Message < b.Message
 }
 
 // ignoreKey identifies the target of one ignore directive.

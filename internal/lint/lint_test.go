@@ -8,8 +8,12 @@ import (
 	"testing"
 )
 
-// wantRe extracts the expectation regex from a // want `...` annotation.
-var wantRe = regexp.MustCompile("// want `([^`]+)`")
+// wantRe matches a // want annotation: one or more backquoted expectation
+// regexes, one per finding expected on the line.
+var (
+	wantRe    = regexp.MustCompile("// want((?: `[^`]+`)+)")
+	patternRe = regexp.MustCompile("`([^`]+)`")
+)
 
 // loadFixture loads testdata/src/<dir> under the given import path.
 func loadFixture(t *testing.T, dir, importPath string) (*Loader, *Package) {
@@ -43,7 +47,9 @@ func collectWants(p *Package) map[wantKey][]string {
 				}
 				pos := p.Fset.Position(c.Pos())
 				k := wantKey{pos.Filename, pos.Line}
-				wants[k] = append(wants[k], m[1])
+				for _, pm := range patternRe.FindAllStringSubmatch(m[1], -1) {
+					wants[k] = append(wants[k], pm[1])
+				}
 			}
 		}
 	}
@@ -217,6 +223,29 @@ func TestBackendRegistryOffByDefaultElsewhere(t *testing.T) {
 func TestMapIterFixture(t *testing.T) {
 	_, p := loadFixture(t, "mapiter", "fixture/mapiter")
 	checkFixture(t, DefaultConfig(), p, []*Check{MapIterCheck()})
+}
+
+// TestMapIterFindingOrder pins the total finding order at one position:
+// two appends in one assignment give two mapiter findings on the same
+// statement, which mapiter emits in map iteration order. RunTimed must
+// return them in message order on every run.
+func TestMapIterFindingOrder(t *testing.T) {
+	_, p := loadFixture(t, "mapiter", "fixture/mapiter")
+	for run := 0; run < 20; run++ {
+		findings, _ := RunTimed(DefaultConfig(), []*Package{p}, []*Check{MapIterCheck()})
+		var pairs [][2]string
+		for i := 1; i < len(findings); i++ {
+			if findings[i].Pos == findings[i-1].Pos {
+				pairs = append(pairs, [2]string{findings[i-1].Message, findings[i].Message})
+			}
+		}
+		if len(pairs) != 1 {
+			t.Fatalf("run %d: %d positions with two findings, want 1 (CollectBoth)", run, len(pairs))
+		}
+		if !strings.HasPrefix(pairs[0][0], `append to "keys"`) || !strings.HasPrefix(pairs[0][1], `append to "vals"`) {
+			t.Fatalf("run %d: findings at one position out of message order:\n%s\n%s", run, pairs[0][0], pairs[0][1])
+		}
+	}
 }
 
 func TestFloatCmpFixture(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"fold3d/internal/lint/cfg"
 	"fold3d/internal/lint/dataflow"
@@ -160,7 +161,7 @@ func runLockBalance(cfgc *Config, p *Package) []Finding {
 	for _, fb := range funcBodiesOf(p, dataflow.Funcs(p.Info, p.Files)) {
 		out = append(out, lockScanFunc(p, bi, fb)...)
 	}
-	return sortFindings(out)
+	return out
 }
 
 // lockScanFunc solves one body to its lock-state fixpoint and reports
@@ -259,7 +260,7 @@ func lockExitFindings(p *Package, facts lockFacts) []Finding {
 
 // lockName renders a mutex key for messages ("m.mu", "m.mu (read side)").
 func lockName(key string) string {
-	if base, ok := cutSuffix(key, ":r"); ok {
+	if base, ok := strings.CutSuffix(key, ":r"); ok {
 		return base + " (read side)"
 	}
 	return key
@@ -267,25 +268,17 @@ func lockName(key string) string {
 
 // unlockCallFor renders the release call matching a key's lock side.
 func unlockCallFor(key string) string {
-	if base, ok := cutSuffix(key, ":r"); ok {
+	if base, ok := strings.CutSuffix(key, ":r"); ok {
 		return base + ".RUnlock()"
 	}
 	return key + ".Unlock()"
 }
 
-// cutSuffix is strings.CutSuffix, local to avoid importing strings for two
-// call sites.
-func cutSuffix(s, suf string) (string, bool) {
-	if len(s) >= len(suf) && s[len(s)-len(suf):] == suf {
-		return s[:len(s)-len(suf)], true
-	}
-	return s, false
-}
-
 // dedupFindings removes exact duplicates (same position, check, message)
-// that the exit-join overlap can produce, preserving sorted order.
+// that the exit-join overlap can produce. Sorting by the total findingLess
+// order makes every duplicate adjacent to its twin.
 func dedupFindings(fs []Finding) []Finding {
-	fs = sortFindings(fs)
+	sort.Slice(fs, func(i, j int) bool { return findingLess(fs[i], fs[j]) })
 	out := fs[:0]
 	for i, f := range fs {
 		if i > 0 && f == fs[i-1] {

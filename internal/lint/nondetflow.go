@@ -89,7 +89,7 @@ func runNondetFlow(cfgc *Config, p *Package) []Finding {
 	for _, fb := range funcBodiesOf(p, funcs) {
 		sc.scan(fb)
 	}
-	return sortFindings(sc.out)
+	return sc.out
 }
 
 // nondetScanner replays each function at the taint fixpoint and reports

@@ -74,3 +74,12 @@ func NestedSorted(m map[string]int) []string {
 	sort.Strings(big)
 	return big
 }
+
+// CollectBoth appends to two outer slices in one assignment: two findings
+// at one position.
+func CollectBoth(m map[string]int) (keys []string, vals []int) {
+	for k, v := range m {
+		keys, vals = append(keys, k), append(vals, v) // want `append to "keys" inside range over map` `append to "vals" inside range over map`
+	}
+	return keys, vals
+}
