@@ -68,9 +68,9 @@ func table1(context.Context, Config) (*Table, error) { return Table1(), nil }
 
 // generators is the registry in canonical (paper report) order.
 var generators = []Generator{
-	{"table1", "T2 block inventory and folding candidates", adapter(table1)},
-	{"table2", "2D chip reference implementation per block", adapter(Table2)},
-	{"table3", "TSV and F2F via counts per chip style", func(ctx context.Context, cfg Config) (*Result, error) {
+	{"table1", "3D interconnect settings (TSV and F2F via)", adapter(table1)},
+	{"table2", "2D vs 3D block-level designs: 2D, core/cache, core/core (RVT)", adapter(Table2)},
+	{"table3", "block folding candidate profile (2D design)", func(ctx context.Context, cfg Config) (*Result, error) {
 		_, report, err := Table3(ctx, cfg)
 		if err != nil {
 			return nil, err
@@ -86,20 +86,20 @@ var generators = []Generator{
 			"paper: footprint -48.4%, WL -6.4%, buffers -33.5%, power -5.1% (memory-dominated)\n"
 		return &Result{Report: report}, nil
 	}},
-	{"table5", "full-chip power across all five styles", adapter(Table5)},
-	{"fig2", "CCX 2D fragmentation vs folded 3D", adapter(Figure2)},
-	{"fig3", "SPC second-level vs whole-block folding", adapter(Figure3)},
-	{"fig4", "merged-die netlist handoff artifacts", adapter(Figure4)},
-	{"fig5", "L2 tag bank under F2F bonding", adapter(Figure5)},
-	{"fig6", "per-block F2B vs F2F folding outcomes", adapter(Figure6)},
-	{"fig7", "power breakdown of folded blocks", adapter(Figure7)},
-	{"fig8", "chip-level layouts of all five styles", adapter(Figure8)},
-	{"dualvth", "dual-Vth leakage recovery ablation", adapter(AblationDualVth)},
-	{"macromode", "macro placement mode ablation", adapter(AblationMacroMode)},
-	{"criteria", "folding-criteria gate ablation", adapter(AblationFoldingCriteria)},
-	{"thermal", "steady-state thermal study across styles", adapter(ThermalStudy)},
-	{"coupling", "TSV coupling capacitance ablation", adapter(AblationTSVCoupling)},
-	{"rsmt", "RSMT vs HPWL wirelength model ablation", adapter(AblationRSMT)},
+	{"table5", "full chip with dual-Vth: 2D vs 3D without and with folding", adapter(Table5)},
+	{"fig2", "folding the CCX (PCX/CPX natural split)", adapter(Figure2)},
+	{"fig3", "second-level folding of a SPARC core", adapter(Figure3)},
+	{"fig4", "2D-like 3D design files of the F2F via flow (L2T0)", adapter(Figure4)},
+	{"fig5", "F2F via placement by 3D net routing (L2T0)", adapter(Figure5)},
+	{"fig6", "bonding style impact on folded blocks (F2B vs F2F)", adapter(Figure6)},
+	{"fig7", "bonding style impact vs partition (L2T folding, F2B and F2F)", adapter(Figure7)},
+	{"fig8", "GDSII layouts of the five design styles", adapter(Figure8)},
+	{"dualvth", "dual-Vth ablation", adapter(AblationDualVth)},
+	{"macromode", "macro holes vs demand-reduction in the 3D placer (L2D0)", adapter(AblationMacroMode)},
+	{"criteria", "folding criteria ablation (fold a rejected block anyway)", adapter(AblationFoldingCriteria)},
+	{"thermal", "thermal study: styles, bonding, thermal vias", adapter(ThermalStudy)},
+	{"coupling", "TSV-to-wire coupling capacitance ablation", adapter(AblationTSVCoupling)},
+	{"rsmt", "statistical vs rectilinear-Steiner wirelength (L2T0)", adapter(AblationRSMT)},
 	{"headtohead", "placement backends head-to-head across all five styles", adapter(HeadToHead)},
 }
 
