@@ -21,6 +21,11 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# Production Go lines: everything but tests, lint fixtures and the separate
+# benchmark module. A drop with unchanged fingerprints is progress.
+echo "==> production Go lines"
+find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './fold3dbench/*' | xargs cat | wc -l
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -63,10 +68,12 @@ go test -race -cpu=4 -count=2 ./internal/place/analytical/
 # Cache hits must be byte-identical to recomputation. The full style x seed
 # matrix already ran under -race above (go test -race ./...); re-run the
 # heaviest style with extra CPUs so the shared cache sees more goroutine
-# interleavings, plus the disk-spill and cross-style reuse properties.
+# interleavings, plus the disk-spill and cross-style reuse properties and
+# the pinned wire bytes of a block cache entry (old disk and peer entries
+# must still decode).
 echo "==> go test -race -cpu=4 (artifact-cache equivalence)"
 go test -race -cpu=4 \
-	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse' \
+	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestBlockWireEntryPinned' \
 	./internal/flow/
 
 # The fold3dd server is the one sanctioned home of long-lived goroutines
