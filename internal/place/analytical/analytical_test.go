@@ -1,6 +1,9 @@
 package analytical
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -143,5 +146,39 @@ func TestPlaceImprovesWirelength(t *testing.T) {
 	got := place.HPWL(placed)
 	if got >= 0.8*random {
 		t.Errorf("placed HPWL %.1f did not clearly beat random seeding %.1f", got, random)
+	}
+}
+
+// TestAnalyticalPlacementPinned pins the analytical placer's output bit for
+// bit: the SHA-256 of every placed cell position (by math.Float64bits) on
+// the 2D and the 3D fixture. TestGoldenFingerprints runs only the force
+// placer, so without this a drift in the Nesterov loop (wirelengthGrad,
+// the density step) would surface only in the external benchmark's
+// golden file. A speedup of the gradient must leave these literals alone.
+func TestAnalyticalPlacementPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		threeD bool
+		want   string
+	}{
+		{"2d", false, "befa49726c78c014a8e647129b725e8151c1cedbb1586f6356ace084fc2312a8"},
+		{"3d", true, "ab54fc71a1cd39ce8dbd24953fa845f50bead6f349082faff4110bbf9cda44ea"},
+	}
+	for _, tc := range cases {
+		b := buildBlock(t, 300, tc.threeD, 11)
+		if err := New(place.DefaultOptions()).Place(b); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for i := range b.Cells {
+			for _, v := range []float64{b.Cells[i].Pos.X, b.Cells[i].Pos.Y} {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: placement hash = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
