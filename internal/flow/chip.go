@@ -88,9 +88,9 @@ func (f *Flow) BuildChipContext(ctx context.Context, style t2.Style) (*ChipResul
 // chipState carries one full-chip build through its stage plan: folding,
 // floorplanning, block implementation, chip-net extraction, aggregation.
 // Like implState, its stage* methods are listed in a pipeline.Plan and
-// invoked only by the executor; the chip plan itself runs uncached (its
-// own work is cheap), while the per-block plans inside stageImplement carry
-// the artifact cache.
+// invoked only by the executor; the chip plan itself runs uncached, while
+// the per-block fold plans inside stageFold and the implementation plans
+// inside stageImplement carry the artifact cache.
 type chipState struct {
 	f     *Flow
 	style t2.Style
@@ -112,8 +112,9 @@ func (f *Flow) buildChip(ctx context.Context, style t2.Style) (*ChipResult, erro
 	}
 	sort.Strings(st.names)
 
-	// Chip stages run uncached, so no Key material is declared: the block
-	// plans inside stageImplement fingerprint everything that matters.
+	// Chip stages run uncached, so no Key material is declared: the fold
+	// and block plans inside stageFold and stageImplement fingerprint
+	// everything that matters.
 	p := &pipeline.Plan{Name: "chip:" + style.String(), Stages: []pipeline.Stage{
 		{Name: "fold", Run: st.stageFold},
 		{Name: "floorplan", Run: st.stageFloorplan},
@@ -129,9 +130,10 @@ func (f *Flow) buildChip(ctx context.Context, style t2.Style) (*ChipResult, erro
 	return st.res, nil
 }
 
-// stageFold folds the folded blocks first (partitioning needs no geometry),
-// then derives every block's shape from its actual content so the fixed
-// floorplan shapes and the block implementations agree by construction.
+// stageFold folds the blocks the style folds, each through its fold plan,
+// before any geometry exists (partitioning needs none); stageFloorplan then
+// sizes every block from its actual content, so the fixed floorplan shapes
+// and the block implementations agree by construction.
 func (st *chipState) stageFold(ctx context.Context) error {
 	f, d, style := st.f, st.f.D, st.style
 	for i, name := range st.names {
@@ -140,8 +142,8 @@ func (st *chipState) stageFold(ctx context.Context) error {
 		}
 		b := d.Blocks[name]
 		if t2.FoldedInStyle(style, name) {
-			if _, err := core.Fold(b, f.foldOptionsFor(name)); err != nil {
-				return fmt.Errorf("flow: folding %s: %w", name, err)
+			if _, err := f.fold(ctx, b, f.foldOptionsFor(name)); err != nil {
+				return err
 			}
 		}
 		f.progress(StageFold, name, i+1, len(st.names))

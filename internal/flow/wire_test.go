@@ -29,19 +29,29 @@ func TestBlockWireEntryPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := &implState{f: f, b: res.Block, res: res}
-			art, err := st.artifactSpec().Capture()
-			if err != nil {
-				t.Fatal(err)
-			}
-			entry, err := pipeline.EncodeEntry(art, f.blockCodec())
-			if err != nil {
-				t.Fatal(err)
-			}
+			entry := blockEntry(t, f, res)
 			sum := sha256.Sum256(entry)
 			if got := hex.EncodeToString(sum[:]); got != tc.sum || len(entry) != tc.size {
 				t.Errorf("wire entry = %s (%d bytes), want %s (%d bytes)", got, len(entry), tc.sum, tc.size)
 			}
 		})
 	}
+}
+
+// blockEntry encodes an implemented block's cache entry the way the block
+// plan captures and spills it. Its bytes cover the netlist with every
+// position and die, the stats, power, timing and CTS reports, so equal
+// entries mean byte-identical implementations.
+func blockEntry(t *testing.T, f *Flow, res *BlockResult) []byte {
+	t.Helper()
+	st := &implState{f: f, b: res.Block, res: res}
+	art, err := st.artifactSpec().Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := pipeline.EncodeEntry(art, f.blockCodec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entry
 }
