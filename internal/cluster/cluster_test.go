@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"fold3d/internal/jobs"
 	"fold3d/internal/pipeline"
@@ -343,5 +348,109 @@ func TestRoutingFingerprintIncludesPlacer(t *testing.T) {
 	}
 	if !split {
 		t.Error("force and analytical requests always share a ring owner — the ring is not seeing the placer axis")
+	}
+}
+
+// forwardFixture returns a router whose forwarding client waits at most
+// header for response headers, plus a node pointing at url.
+func forwardFixture(t *testing.T, url string, header time.Duration) (*Router, Node) {
+	t.Helper()
+	peer := Node{ID: "n1", URL: url}
+	ring, err := New("n0", []Node{{ID: "n0", URL: "http://127.0.0.1:1"}, peer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(ring, "")
+	if got := rt.proxy.Transport.(*http.Transport).ResponseHeaderTimeout; got != proxyHeaderTimeout {
+		t.Fatalf("NewRouter proxy header timeout = %v, want %v", got, proxyHeaderTimeout)
+	}
+	if rt.proxy.Timeout != 0 {
+		t.Fatalf("NewRouter proxy has an overall timeout %v; it would cut event streams", rt.proxy.Timeout)
+	}
+	rt.proxy = proxyClient(header)
+	return rt, peer
+}
+
+// TestForwardSilentPeerTimesOut: a peer that accepts the connection but
+// never answers fails the forward with ErrPeerUnreachable once the header
+// timeout passes, instead of hanging the client's request.
+func TestForwardSilentPeerTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var conns []net.Conn
+	var mu sync.Mutex
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c) // hold it open, never answer
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+	}()
+
+	const header = 200 * time.Millisecond
+	rt, peer := forwardFixture(t, "http://"+ln.Addr().String(), header)
+	// The inbound deadline only keeps a missing header timeout from
+	// hanging the test; it is far beyond the bound checked below.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/n1-job-000001", nil).WithContext(ctx)
+	start := time.Now()
+	err = rt.Forward(httptest.NewRecorder(), req, peer, nil)
+	if !errors.Is(err, ErrPeerUnreachable) {
+		t.Fatalf("forward to a silent peer: err = %v, want ErrPeerUnreachable", err)
+	}
+	if el := time.Since(start); el > header+5*time.Second {
+		t.Fatalf("forward to a silent peer took %v; header timeout is %v", el, header)
+	}
+}
+
+// TestForwardStreamOutlivesHeaderTimeout: the header timeout bounds only
+// the wait for headers, so a forwarded event stream that runs longer than
+// it still relays every event.
+func TestForwardStreamOutlivesHeaderTimeout(t *testing.T) {
+	const header = 100 * time.Millisecond
+	const events = 5
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		for i := 0; i < events; i++ {
+			time.Sleep(header / 2)
+			fmt.Fprintf(w, "{\"seq\":%d}\n", i)
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer peer.Close()
+
+	rt, node := forwardFixture(t, peer.URL, header)
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	err := rt.Forward(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/n1-job-000001/events", nil), node, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el <= header {
+		t.Fatalf("stream ended after %v, before the %v header timeout; the test proves nothing", el, header)
+	}
+	var want strings.Builder
+	for i := 0; i < events; i++ {
+		fmt.Fprintf(&want, "{\"seq\":%d}\n", i)
+	}
+	if got := rec.Body.String(); got != want.String() {
+		t.Fatalf("relayed stream = %q, want %q", got, want.String())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -31,15 +32,36 @@ var ErrPeerUnreachable = errors.New("cluster: peer unreachable")
 // misbehaving peer.
 const maxArtifactBytes = 64 << 20
 
+// Proxy timeouts. A forwarded request fails with ErrPeerUnreachable when
+// the owner cannot be dialed within proxyDialTimeout, or accepts the
+// connection but sends no response headers within proxyHeaderTimeout.
+// There is no overall deadline: once headers arrive, a forwarded event
+// stream relays for as long as the job runs (the events handler writes its
+// headers at once).
+const (
+	proxyDialTimeout   = 5 * time.Second
+	proxyHeaderTimeout = 10 * time.Second
+)
+
+// proxyClient builds the forwarding client: the default transport with
+// the dial and response-header timeouts, and no Client.Timeout.
+func proxyClient(header time.Duration) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DialContext = (&net.Dialer{Timeout: proxyDialTimeout, KeepAlive: 30 * time.Second}).DialContext
+	tr.ResponseHeaderTimeout = header
+	return &http.Client{Transport: tr}
+}
+
 // Router proxies requests to their owner node and fetches cache entries
 // from peers. One Router serves a node for its lifetime; it is safe for
 // concurrent use.
 type Router struct {
 	ring  *Ring
 	token string
-	// proxy carries forwarded client requests; no timeout, because a
-	// forwarded GET /events legitimately streams for the life of a job.
-	// Cancellation flows from the inbound request's context instead.
+	// proxy carries forwarded client requests. It bounds the dial and the
+	// wait for response headers, not the whole exchange, because a
+	// forwarded GET /events legitimately streams for the life of a job;
+	// cancellation of a stream flows from the inbound request's context.
 	proxy *http.Client
 	// fetch carries artifact fetches, which are one bounded read.
 	fetch *http.Client
@@ -51,7 +73,7 @@ func NewRouter(ring *Ring, token string) *Router {
 	return &Router{
 		ring:  ring,
 		token: token,
-		proxy: &http.Client{},
+		proxy: proxyClient(proxyHeaderTimeout),
 		fetch: &http.Client{Timeout: 30 * time.Second},
 	}
 }
