@@ -22,9 +22,9 @@ type Fingerprint string
 
 // Hasher accumulates typed key material into a content hash. All writes are
 // length-framed by type tag so that e.g. Str("ab"), Str("c") and Str("a"),
-// Str("bc") hash differently. Key material streams straight into a running
-// SHA-256 state — nothing is buffered, so hashing a whole netlist costs no
-// allocation beyond the hasher itself.
+// Str("bc") hash differently. Key material is framed into a fixed 512-byte
+// batch buffer that flushes into a running SHA-256 state, so hashing a whole
+// netlist costs no allocation beyond the hasher itself.
 type Hasher struct {
 	h hash.Hash
 	// buf batches the many small framed fields into fewer digest writes;

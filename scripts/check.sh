@@ -63,6 +63,9 @@ echo "==> go test -race -cpu=4 (placement backend equivalence + cache isolation)
 go test -race -cpu=4 \
 	-run 'TestAnalyticalFingerprintEquivalence|TestBackendsProduceDistinctPlacements|TestForceCacheKeyIdentity|TestCrossBackendCacheIsolation|TestUnknownBackendFailsFast' \
 	./internal/flow/
+# The analytical package run includes TestAnalyticalPlacementPinned: the
+# placer's positions are pinned bit for bit, so a speedup of its gradient
+# must leave them unchanged.
 go test -race -cpu=4 -count=2 ./internal/place/analytical/
 
 # Cache hits must be byte-identical to recomputation. The full style x seed
@@ -70,10 +73,11 @@ go test -race -cpu=4 -count=2 ./internal/place/analytical/
 # heaviest style with extra CPUs so the shared cache sees more goroutine
 # interleavings, plus the disk-spill and cross-style reuse properties and
 # the pinned wire bytes of a block cache entry (old disk and peer entries
-# must still decode).
+# must still decode), and the fold plan: a restored fold equals a cold one
+# in every mode, its key is pinned, and folds reuse across bondings.
 echo "==> go test -race -cpu=4 (artifact-cache equivalence)"
 go test -race -cpu=4 \
-	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestBlockWireEntryPinned' \
+	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestBlockWireEntryPinned|TestFoldCacheEquivalence|TestFoldPlanKeyPinned|TestFoldCacheCrossStyle' \
 	./internal/flow/
 
 # The fold3dd server is the one sanctioned home of long-lived goroutines
